@@ -1,25 +1,16 @@
 """Batched packed inference engine: end-to-end throughput + noise curves.
 
-Two measurements, recorded into ``BENCH_inference.json`` at the repo root
+Three measurements, recorded into ``BENCH_inference.json`` at the repo root
 (CI uploads the smoke sibling per PR):
 
 * end-to-end images/sec of the dense layer-by-layer forward pass vs the
   batched packed :class:`repro.bnn.model.InferenceEngine` on MLP and CNN
   workloads, with a bit-exactness check between the two paths — the packed
   engine must clear the committed speedup floors;
-* multi-worker ``forward_batch`` throughput vs the serial chunk loop (the
-  engine's per-chunk parallel seam through the :mod:`repro.runtime` thread
-  backend), bit-exactness checked against the serial path;
-* the shared-memory chunk transport (PR 8) vs pickled chunk shipping over
-  the **process** backend — same executor, ``REPRO_RUNTIME_SHM`` toggled
-  between the two timed paths, both bit-exact against the serial oracle;
-* the persistent kernel-autotune cache: cold (measure + persist) vs warm
-  (cache-file hit) parameter resolution against a fresh cache directory;
-* the streaming packed pipeline (PR 10): serial chunk loop vs
-  stage-pipelined execution (:mod:`repro.bnn.pipeline`) at the same
-  chunking, bit-exactness checked, with per-stage occupancy so the
-  bottleneck stage is visible in the artifact, plus a persistence check
-  of the ``auto``-mode profitability decision;
+* the streaming packed pipeline: serial chunk loop vs stage-pipelined
+  execution (:mod:`repro.bnn.pipeline`) at the same chunking,
+  bit-exactness checked, with per-stage occupancy so the bottleneck stage
+  is visible in the artifact;
 * accuracy-vs-read-noise curves produced *through* the packed engine
   (:func:`repro.eval.sweep.run_accuracy_sweep`), i.e. the functional
   scenario the analytical sweeps cannot provide.
@@ -34,19 +25,15 @@ the CI-sized configuration).
 from __future__ import annotations
 
 import os
-import tempfile
-import time
 
 import numpy as np
 
-from repro.bnn import autotune
 from repro.bnn.model import InferenceEngine
 from repro.bnn.networks import build_network
-from repro.bnn.pipeline import StreamingPipeline, plan_signature
+from repro.bnn.pipeline import StreamingPipeline
 from repro.eval.reporting import host_info, write_json_report
 from repro.eval.sweep import AccuracySweepGrid, run_accuracy_sweep
-from repro.runtime import ProcessExecutor, ThreadExecutor, measure_pair
-from repro.runtime.shm import SHM_ENV
+from repro.runtime import measure_pair
 from repro.utils.rng import make_rng
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -95,86 +82,6 @@ def _time_network(name: str, batch: int, reps: int) -> dict:
     }
 
 
-def _time_parallel_chunks(engine: InferenceEngine, images: np.ndarray, *,
-                          workers: int, reps: int) -> dict:
-    """Serial vs multi-worker per-chunk throughput of ``forward_batch``.
-
-    Chunks fan out over the thread backend — NumPy's kernels release the
-    GIL, so this measures the engine's real multi-core headroom without
-    pickling the engine per chunk (the honest single-host configuration;
-    CI containers may report ~1x on a single core).
-    """
-    total = images.shape[0]
-    chunk = max(1, total // max(workers * 2, 2))
-    serial_ref = engine.forward_batch(images, batch_size=chunk)
-    with ThreadExecutor(workers) as executor:
-        parallel_out = engine.forward_batch(images, batch_size=chunk,
-                                            executor=executor)
-        bit_exact = bool(np.array_equal(serial_ref, parallel_out))
-        parallel_m, serial_m, speedup = measure_pair(
-            lambda: engine.forward_batch(images, batch_size=chunk,
-                                         executor=executor),
-            lambda: engine.forward_batch(images, batch_size=chunk),
-            reps=reps, label=f"chunks-x{workers}",
-        )
-    return {
-        "backend": "thread",
-        "workers": workers,
-        "chunk_size": chunk,
-        "bit_exact": bit_exact,
-        "serial_images_per_s": serial_m.throughput(total),
-        "parallel_images_per_s": parallel_m.throughput(total),
-        "speedup_vs_serial": speedup,
-    }
-
-
-def _time_shm_transport(engine: InferenceEngine, images: np.ndarray, *,
-                        workers: int, reps: int) -> dict:
-    """Shared-memory vs pickled chunk transport over the process backend.
-
-    The same :class:`ProcessExecutor` runs both timed paths; only
-    ``REPRO_RUNTIME_SHM`` differs (the engine re-reads the mode on every
-    ``forward_batch`` call).  Shared memory ships each input chunk as a
-    descriptor and writes results into a preallocated output segment, so
-    the delta is exactly the pickle + pipe traffic the transport removes.
-    """
-    total = images.shape[0]
-    chunk = max(1, total // max(workers * 2, 2))
-    serial_ref = engine.forward_batch(images, batch_size=chunk)
-    previous = os.environ.get(SHM_ENV)
-
-    def _run(mode: str, executor: ProcessExecutor) -> np.ndarray:
-        os.environ[SHM_ENV] = mode
-        return engine.forward_batch(images, batch_size=chunk,
-                                    executor=executor)
-
-    try:
-        with ProcessExecutor(workers) as executor:
-            shm_out = _run("auto", executor)
-            pickle_out = _run("off", executor)
-            bit_exact = bool(np.array_equal(serial_ref, shm_out)
-                             and np.array_equal(serial_ref, pickle_out))
-            shm_m, pickle_m, speedup = measure_pair(
-                lambda: _run("auto", executor),
-                lambda: _run("off", executor),
-                reps=reps, label=f"shm-x{workers}",
-            )
-    finally:
-        if previous is None:
-            os.environ.pop(SHM_ENV, None)
-        else:
-            os.environ[SHM_ENV] = previous
-    return {
-        "backend": "process",
-        "workers": workers,
-        "chunk_size": chunk,
-        "bit_exact": bit_exact,
-        "pickle_images_per_s": pickle_m.throughput(total),
-        "shm_images_per_s": shm_m.throughput(total),
-        "speedup_vs_pickle": speedup,
-    }
-
-
 def _time_streaming_pipeline(name: str, total: int, chunk: int,
                              reps: int) -> dict:
     """Serial chunk loop vs the stage-pipelined path at the same chunking.
@@ -192,15 +99,13 @@ def _time_streaming_pipeline(name: str, total: int, chunk: int,
     engine = InferenceEngine(model)
     pipe = StreamingPipeline(engine)
     # warm both paths (pack caches, BLAS pools, thread start-up costs)
-    engine.forward_batch(images, batch_size=chunk, pipeline="off")
-    serial_ref = engine.forward_batch(images, batch_size=chunk,
-                                      pipeline="off")
+    engine._run_serial(images, chunk)
+    serial_ref = engine._run_serial(images, chunk)
     piped, _ = pipe.run(images, chunk)
     bit_exact = bool(serial_ref.tobytes() == piped.tobytes())
     piped_m, serial_m, speedup = measure_pair(
         lambda: pipe.run(images, chunk),
-        lambda: engine.forward_batch(images, batch_size=chunk,
-                                     pipeline="off"),
+        lambda: engine._run_serial(images, chunk),
         reps=reps, label=f"pipeline-{name}",
     )
     _, stats = pipe.run(images, chunk)
@@ -214,70 +119,6 @@ def _time_streaming_pipeline(name: str, total: int, chunk: int,
         "pipelined_images_per_s": piped_m.throughput(total),
         "speedup_vs_serial": speedup,
         "stages": [stage.as_dict() for stage in stats],
-        "signature": plan_signature(engine, chunk),
-    }
-
-
-def _pipeline_autotune_hit(signature: str, speedup: float) -> float:
-    """Does a recorded pipeline decision survive a process restart?
-
-    Records the measured verdict into a fresh cache directory, drops the
-    in-process memo (the simulated restart) and reads it back — 1.0 when
-    the read-back came from the cache file.  Environment and singletons
-    are restored afterwards.
-    """
-    previous = os.environ.get(autotune.CACHE_ENV)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-pipeline-") as cache:
-        os.environ[autotune.CACHE_ENV] = cache
-        try:
-            autotune.record_pipeline_decision(signature, speedup)
-            autotune.reset_cached_params()
-            decision = autotune.pipeline_decision(signature)
-        finally:
-            if previous is None:
-                os.environ.pop(autotune.CACHE_ENV, None)
-            else:
-                os.environ[autotune.CACHE_ENV] = previous
-            autotune.reset_cached_params()
-    return 1.0 if decision is not None and decision["source"] == "cache" \
-        else 0.0
-
-
-def _autotune_stats() -> dict:
-    """Cold (measure + persist) vs warm (file hit) autotune resolution.
-
-    Points the cache at a fresh directory so the cold path genuinely
-    measures; the warm re-resolve must then come back from the cache
-    file.  The process-wide singleton and the environment are restored
-    afterwards, so the rest of the benchmark keeps its normal params.
-    """
-    previous = os.environ.get(autotune.CACHE_ENV)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-autotune-") as cache:
-        os.environ[autotune.CACHE_ENV] = cache
-        try:
-            start = time.perf_counter()
-            measured = autotune.get_params(refresh=True)
-            cold_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            warm = autotune.get_params(refresh=True)
-            warm_seconds = time.perf_counter() - start
-        finally:
-            if previous is None:
-                os.environ.pop(autotune.CACHE_ENV, None)
-            else:
-                os.environ[autotune.CACHE_ENV] = previous
-            autotune.reset_cached_params()
-    assert measured.source == "measured", measured
-    assert warm == autotune.AutotuneParams(
-        measured.dispatch_macs, measured.conv_block_bytes, "cache")
-    return {
-        "cache_hit": 1.0 if warm.source == "cache" else 0.0,
-        "dispatch_macs": measured.dispatch_macs,
-        "conv_block_bytes": measured.conv_block_bytes,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "speedup_cached_vs_measured":
-            cold_seconds / warm_seconds if warm_seconds > 0 else float("inf"),
     }
 
 
@@ -327,32 +168,6 @@ def test_inference_engine(benchmark, smoke):
     engine, images, batch = bench_target
     benchmark(lambda: engine.predict_batch(images, batch_size=batch))
 
-    # the per-chunk parallel seam: multi-worker img/s vs the serial loop
-    parallel = _time_parallel_chunks(
-        engine, images, workers=2 if smoke else 4, reps=3 if smoke else 5
-    )
-    print(
-        f"\nforward_batch chunks x{parallel['workers']} "
-        f"({parallel['backend']}): serial "
-        f"{parallel['serial_images_per_s']:.1f} img/s, parallel "
-        f"{parallel['parallel_images_per_s']:.1f} img/s "
-        f"({parallel['speedup_vs_serial']:.2f}x, bit-exact "
-        f"{parallel['bit_exact']})"
-    )
-    assert parallel["bit_exact"]
-
-    # the zero-copy transport: shm vs pickled chunks on the process backend
-    shm = _time_shm_transport(
-        engine, images, workers=2 if smoke else 4, reps=3 if smoke else 5
-    )
-    print(
-        f"forward_batch shm x{shm['workers']} ({shm['backend']}): pickle "
-        f"{shm['pickle_images_per_s']:.1f} img/s, shm "
-        f"{shm['shm_images_per_s']:.1f} img/s "
-        f"({shm['speedup_vs_pickle']:.2f}x, bit-exact {shm['bit_exact']})"
-    )
-    assert shm["bit_exact"]
-
     # the streaming packed pipeline: stage-overlapped vs serial chunk loop
     if smoke:
         streaming_configs = [("MLP-S", 64, 16, 3), ("CNN-M", 8, 2, 3)]
@@ -378,30 +193,12 @@ def test_inference_engine(benchmark, smoke):
     best_name = max(streaming_networks,
                     key=lambda n: streaming_networks[n]["speedup_vs_serial"])
     best = streaming_networks[best_name]
-    autotune_hit = _pipeline_autotune_hit(
-        best["signature"], best["speedup_vs_serial"])
-    print(
-        f"streaming best: {best_name} "
-        f"{best['speedup_vs_serial']:.2f}x (autotune cache hit "
-        f"{autotune_hit:.0f})"
-    )
-    assert autotune_hit == 1.0
+    print(f"streaming best: {best_name} {best['speedup_vs_serial']:.2f}x")
     streaming = {
         "networks": streaming_networks,
         "best_network": best_name,
         "speedup_vs_serial": best["speedup_vs_serial"],
-        "autotune_hit": autotune_hit,
     }
-
-    tune = _autotune_stats()
-    print(
-        f"autotune: dispatch {tune['dispatch_macs']} MACs, conv block "
-        f"{tune['conv_block_bytes'] // (1 << 20)} MiB; cold "
-        f"{tune['cold_seconds'] * 1e3:.1f} ms, warm "
-        f"{tune['warm_seconds'] * 1e3:.1f} ms "
-        f"(cache hit {tune['cache_hit']:.0f})"
-    )
-    assert tune["cache_hit"] == 1.0
 
     accuracy = run_accuracy_sweep(accuracy_grid)
     print("\n=== accuracy vs read noise (packed engine) ===")
@@ -424,10 +221,7 @@ def test_inference_engine(benchmark, smoke):
         "smoke": smoke,
         "host": host_info(),
         "networks": networks,
-        "parallel_forward_batch": parallel,
-        "shm_transport": shm,
         "streaming_pipeline": streaming,
-        "autotune": tune,
         "accuracy_sweep": accuracy.to_payload(),
     })
     print(f"wrote {artifact_path}")

@@ -110,13 +110,12 @@ def _drive(service: InferenceService, images: np.ndarray, *,
 
 def run_policy(engine: InferenceEngine, images: np.ndarray, *,
                max_batch: int, max_delay_ms: float, clients: int,
-               total_requests: int, queue_capacity: int = 1024,
-               pipeline: Optional[str] = None) -> Dict[str, object]:
+               total_requests: int, queue_capacity: int = 1024
+               ) -> Dict[str, object]:
     """Measure one flush policy under closed-loop load."""
     with InferenceService(engine, max_batch=max_batch,
                           max_delay_ms=max_delay_ms,
-                          queue_capacity=queue_capacity,
-                          pipeline=pipeline) as service:
+                          queue_capacity=queue_capacity) as service:
         started = time.monotonic()
         counters = _drive(service, images, clients=clients,
                           total_requests=total_requests)
@@ -189,22 +188,6 @@ def run_sweep(*, network: str, clients: int, requests: int,
     best_key = max(policies, key=lambda k: policies[k]["requests_per_s"])
     best = policies[best_key]
 
-    # re-run the winning policy with the streaming pipeline on the flush
-    # path (PR 10): flushed batches are chunked and stage-overlapped
-    # inside the engine instead of running one monolithic forward_batch
-    pipelined = run_policy(
-        engine, images, max_batch=best["max_batch"],
-        max_delay_ms=best["max_delay_ms"], clients=clients,
-        total_requests=requests, pipeline="on",
-    )
-    rps_ratio = pipelined["requests_per_s"] / max(best["requests_per_s"],
-                                                  1e-9)
-    print(f"{'pipelined':>12s}: {pipelined['requests_per_s']:8.1f} req/s  "
-          f"p50 {pipelined['p50_ms']:7.2f} ms  "
-          f"p99 {pipelined['p99_ms']:7.2f} ms  "
-          f"({rps_ratio:.2f}x vs classic {best_key})",
-          flush=True)
-
     return {
         "smoke": smoke,
         "host": host_info(),
@@ -223,13 +206,6 @@ def run_sweep(*, network: str, clients: int, requests: int,
             "requests_per_s": best["requests_per_s"],
             "p50_ms": best["p50_ms"],
             "p99_ms": best["p99_ms"],
-        },
-        "pipelined_best": {
-            "policy": best_key,
-            "requests_per_s": pipelined["requests_per_s"],
-            "p50_ms": pipelined["p50_ms"],
-            "p99_ms": pipelined["p99_ms"],
-            "rps_ratio_vs_classic": rps_ratio,
         },
     }
 

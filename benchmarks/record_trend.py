@@ -47,8 +47,6 @@ TREND_METRICS = {
     "conv_packed_speedup_vs_loop": (
         "sweep", "conv_kernel_bench.kernels.packed.speedup_vs_loop_reference"),
     "sweep_warm_seconds": ("sweep", "sweep_warm_seconds"),
-    "parallel_chunk_speedup": (
-        "inference", "parallel_forward_batch.speedup_vs_serial"),
     "queue_overhead_ms_per_task_dir": (
         "sweep",
         "queue_fleet_bench.stores.dir.protocol_overhead_ms_per_task"),
@@ -63,11 +61,8 @@ TREND_METRICS = {
         "sweep",
         "queue_fleet_bench.stores.object.tasks_per_claim.16"
         ".protocol_overhead_ms_per_task"),
-    "shm_chunk_speedup": ("inference", "shm_transport.speedup_vs_pickle"),
-    "autotune_cache_hit": ("inference", "autotune.cache_hit"),
     "streaming_pipeline_speedup": (
         "inference", "streaming_pipeline.speedup_vs_serial"),
-    "pipeline_autotune_hit": ("inference", "streaming_pipeline.autotune_hit"),
     "serving_best_rps": ("serving", "best.requests_per_s"),
     "serving_best_p50_ms": ("serving", "best.p50_ms"),
     "serving_best_p99_ms": ("serving", "best.p99_ms"),

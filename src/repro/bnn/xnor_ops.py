@@ -63,7 +63,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.bnn import autotune
+from repro.bnn.autotune import CONV_BLOCK_BYTES, DISPATCH_MACS
 from repro.bnn.binarize import to_unipolar
 from repro.utils.validation import check_binary, check_bipolar
 
@@ -447,21 +447,6 @@ def binary_conv2d(images_bipolar: np.ndarray, kernels_bipolar: np.ndarray,
 # Packed activation tensors and fused layer kernels (batched inference path)
 # --------------------------------------------------------------------------- #
 
-#: default MAC-count boundary of :func:`choose_matmul_kernel`.  Measured on
-#: this container: the BLAS kernel is faster (often by 10-20x) for every
-#: product above a few thousand MACs; below it the two are within measurement
-#: noise and the packed operands use 8x less workspace, so packed gets the
-#: nod.  The live boundary is resolved per host by :mod:`repro.bnn.autotune`
-#: (persistent cache, ``REPRO_AUTOTUNE_CACHE=off`` pins this default).
-_PACKED_DISPATCH_MACS = autotune.DEFAULT_DISPATCH_MACS
-
-#: default float32 patch-block budget of the fused conv kernel: the gather/
-#: convert/GEMM pipeline runs per block of output rows so the patch workspace
-#: stays cache-resident (measured ~1.5x faster than one whole-batch patch
-#: matrix).  Also resolved per host by :mod:`repro.bnn.autotune`.
-_CONV_BLOCK_BYTES = autotune.DEFAULT_CONV_BLOCK_BYTES
-
-
 def choose_matmul_kernel(num_rows: int, num_outputs: int, length: int) -> str:
     """Auto-select the matmul kernel from the operand sizes.
 
@@ -470,14 +455,14 @@ def choose_matmul_kernel(num_rows: int, num_outputs: int, length: int) -> str:
     XOR+LUT popcount on this class of CPU for every operand above a few
     thousand MACs, so only tiny products (where both kernels cost single
     microseconds and the packed path needs 8x less workspace) dispatch to
-    the packed kernel.  The boundary comes from the per-host autotune
-    cache (:mod:`repro.bnn.autotune`); both kernels are bit-identical, so
-    the boundary only ever affects speed.
+    the packed kernel.  The boundary is the static
+    :data:`repro.bnn.autotune.DISPATCH_MACS`; both kernels are
+    bit-identical, so the boundary only ever affects speed.
     """
     if num_rows < 0 or num_outputs < 0 or length < 0:
         raise ValueError("operand sizes must be non-negative")
     macs = num_rows * num_outputs * length
-    return "packed" if macs <= autotune.dispatch_macs() else "blas"
+    return "packed" if macs <= DISPATCH_MACS else "blas"
 
 
 def _packed_width(bits: int) -> int:
@@ -835,7 +820,7 @@ def fused_conv2d_sign(x: PackedTensor, weights: PackedWeights,
         # workspace never leaves cache (per-image at most)
         transposed = windows.transpose(0, 1, 2, 4, 5, 3)
         row_length = weights.bit_length
-        rows_per_block = max(1, autotune.conv_block_bytes() // (row_length * 4))
+        rows_per_block = max(1, CONV_BLOCK_BYTES // (row_length * 4))
         oh_per_block = max(1, rows_per_block // out_w)
         acc = np.empty((num_rows, weights.num_outputs), dtype=np.float32)
         weights_t = weights.f32.T
@@ -853,8 +838,8 @@ def fused_conv2d_sign(x: PackedTensor, weights: PackedWeights,
         )[:, ::stride, ::stride]
         # (B, OH, OW, nbytes, k, k) -> (k, k, nbytes) byte rows, matching the
         # per-position padding of pack_conv_weights so padding bits cancel;
-        # the row width is spelled out (not -1) so zero-row batches — the
-        # shm transport's shape-probing dry run — reshape unambiguously
+        # the row width is spelled out (not -1) so zero-row batches
+        # reshape unambiguously
         patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
             num_rows, kernel_size * kernel_size * data.shape[-1])
         patches = np.ascontiguousarray(patches)
@@ -891,8 +876,8 @@ def packed_maxpool2d(x: PackedTensor, kernel_size: int, stride: int) -> PackedTe
     windows = np.lib.stride_tricks.sliding_window_view(
         x.data, (kernel_size, kernel_size), axis=(1, 2)
     )[:, ::stride, ::stride]
-    # the window extent is spelled out (not -1) so zero-row batches — the
-    # shm transport's shape-probing dry run — reshape unambiguously
+    # the window extent is spelled out (not -1) so zero-row batches
+    # reshape unambiguously
     pooled = np.bitwise_or.reduce(
         windows.reshape(batch, out_h, out_w, x.data.shape[-1],
                         kernel_size * kernel_size),

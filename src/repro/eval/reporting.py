@@ -11,6 +11,8 @@ import json
 import os
 from typing import Dict, Iterable, List, Mapping, Sequence
 
+from repro.utils.host import effective_cpus
+
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], *,
                  float_format: str = "{:.3g}") -> str:
@@ -66,12 +68,8 @@ def host_info() -> Dict[str, object]:
     number CI containers actually constrain — while ``cpu_count`` is the
     raw host total.
     """
-    count = os.cpu_count() or 1
-    try:
-        effective = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        effective = count
-    return {"cpu_count": count, "effective_cpus": effective}
+    return {"cpu_count": os.cpu_count() or 1,
+            "effective_cpus": effective_cpus()}
 
 
 def write_json_report(path: str, payload: Mapping[str, object]) -> None:

@@ -1,9 +1,8 @@
 """Unified runtime executor layer: one pluggable parallel substrate.
 
 Everything in the repository that fans independent work out — design-space
-sweep points (:mod:`repro.eval.sweep`), packed inference chunks
-(:class:`repro.bnn.model.InferenceEngine`), repeated benchmark
-measurements (``benchmarks/``) — executes through this package:
+sweep points (:mod:`repro.eval.sweep`), repeated benchmark measurements
+(``benchmarks/``) — executes through this package:
 
 * :mod:`repro.runtime.tasks` — the ordered work-list abstraction.
 * :mod:`repro.runtime.executors` — pluggable backends (serial / thread /
@@ -39,11 +38,6 @@ measurements (``benchmarks/``) — executes through this package:
   injection (:class:`~repro.runtime.faults.FaultPlan`, the
   ``REPRO_RUNTIME_FAULTS`` fleet-wide toggle) behind the chaos soak
   and ``benchmarks/bench_chaos.py``.
-* :mod:`repro.runtime.shm` — the shared-memory chunk transport for
-  same-host pools: :class:`~repro.runtime.shm.SharedArrayPool` segments
-  referenced by picklable ``(name, dtype, shape, offset)`` descriptors
-  replace per-task ndarray pickling (``REPRO_RUNTIME_SHM`` gates it;
-  remote queue fleets keep the pickle path).
 * :mod:`repro.runtime.measure` — the repeated-measurement harness the
   benchmarks drive their timing loops through.
 
@@ -73,14 +67,6 @@ from repro.runtime.measure import (
 )
 from repro.runtime.faults import FAULTS_ENV, FaultInjected, FaultPlan
 from repro.runtime.queue import PART_PREFIX, QueueExecutor, partition_namespace
-from repro.runtime.shm import (
-    SHM_ENV,
-    ArrayDescriptor,
-    SharedArrayPool,
-    attach_view,
-    shm_mode,
-    use_shm_transport,
-)
 from repro.runtime.resilience import (
     BackoffPolicy,
     DETERMINISTIC,
@@ -107,7 +93,6 @@ from repro.runtime.supervisor import Supervisor
 from repro.runtime.tasks import Task, WorkList, gather, run_serially
 
 __all__ = [
-    "ArrayDescriptor",
     "BACKEND_ENV",
     "BACKENDS",
     "BackoffPolicy",
@@ -126,17 +111,14 @@ __all__ = [
     "QueueExecutor",
     "QueueStore",
     "RestartBudget",
-    "SHM_ENV",
     "STORE_ENV",
     "STORES",
     "SerialExecutor",
-    "SharedArrayPool",
     "Supervisor",
     "TRANSIENT",
     "Task",
     "ThreadExecutor",
     "WorkList",
-    "attach_view",
     "backend_from_env",
     "classify_outage",
     "decorrelated_jitter",
@@ -153,7 +135,5 @@ __all__ = [
     "retry_backoff",
     "retry_call",
     "run_serially",
-    "shm_mode",
     "store_from_env",
-    "use_shm_transport",
 ]

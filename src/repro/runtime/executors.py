@@ -157,9 +157,9 @@ class ProcessExecutor(Executor):
             if len(fns) == 1:
                 # the common map() shape: one shared fn.  Passing it as the
                 # pool.map callable pickles it once per dispatch batch, not
-                # once per task — a heavyweight callable (e.g. a _ChunkTask
-                # holding a whole packed InferenceEngine) must not cross
-                # the IPC boundary once per chunk
+                # once per task — a heavyweight callable (e.g. one holding
+                # compiled models) must not cross the IPC boundary once
+                # per task
                 return pool.map(worklist.tasks[0].fn,
                                 [task.arg for task in worklist])
             pairs = [(task.fn, task.arg) for task in worklist]

@@ -157,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 0 — bit-exact)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the synthetic images and flip noise")
-    parser.add_argument("--pipeline", default=None,
-                        choices=["auto", "on", "off"],
-                        help="stream flushed micro-batches through the "
-                             "engine's stage pipeline (default: classic "
-                             "single-chunk flushes)")
-    parser.add_argument("--pipeline-chunk", type=int, default=None,
-                        help="rows per streaming chunk (default: flush "
-                             "size / 4)")
     return parser
 
 
@@ -192,7 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         queue_capacity=args.queue_capacity,
         deadline_budget_ms=args.deadline_budget_ms,
         rate_limiter=limiter, circuit_breaker=breaker,
-        pipeline=args.pipeline, pipeline_chunk=args.pipeline_chunk,
     )
     print(f"serving {args.network}: max_batch={args.max_batch} "
           f"max_delay_ms={args.max_delay_ms:g} "

@@ -5,12 +5,7 @@ each; a single dispatcher thread coalesces the bounded request queue
 into packed micro-batches and runs each through
 ``engine.forward_batch(batch, batch_size=len(batch))`` — one contiguous
 chunk, exactly as a direct caller would — then fans the per-request rows
-back out through :class:`concurrent.futures.Future` objects.  With the
-opt-in ``pipeline=`` mode each flush is instead split into
-``pipeline_chunk``-row chunks that stream through the engine's stage
-pipeline (:mod:`repro.bnn.pipeline`), overlapping the dense prefix of
-one chunk with the binary body of the previous one; the flush log
-records the chunk size so any served batch replays byte-for-byte.
+back out through :class:`concurrent.futures.Future` objects.
 
 A flush fires when either
 
@@ -59,12 +54,6 @@ TRIGGER_DRAIN = "drain"
 #: default bound of the in-memory flush log (old entries age out)
 DEFAULT_FLUSH_LOG = 256
 
-#: chunks a flushed batch is split into when the streaming pipeline is
-#: enabled and no explicit ``pipeline_chunk`` was given: enough in-flight
-#: chunks to keep every stage busy without shrinking chunks into
-#: per-chunk-overhead territory
-DEFAULT_PIPELINE_CHUNKS = 4
-
 
 @dataclass(frozen=True)
 class FlushRecord:
@@ -73,20 +62,14 @@ class FlushRecord:
     ``request_ids`` are the monotonically increasing ids assigned at
     submit (also set as the ``request_id`` attribute of each returned
     future), in batch-row order — row ``i`` of the flushed stack was
-    request ``request_ids[i]``.
-
-    ``chunk`` is the engine chunk size the flush ran with: ``None`` for
-    the classic one-contiguous-chunk call, the streaming chunk size when
-    the batcher's pipeline mode was enabled.  Replaying
-    ``engine.forward_batch(stack, batch_size=chunk or size)`` reproduces
-    the served rows byte-for-byte either way (the pipeline is bit-exact
-    with the serial path at the same chunking).
+    request ``request_ids[i]``.  Replaying
+    ``engine.forward_batch(stack, batch_size=size)`` reproduces the
+    served rows byte-for-byte.
     """
 
     request_ids: Tuple[int, ...]
     trigger: str
     ok: bool
-    chunk: Optional[int] = None
 
     @property
     def size(self) -> int:
@@ -140,20 +123,6 @@ class MicroBatcher:
         How many recent :class:`FlushRecord` entries to retain.
     clock:
         Injectable monotonic clock shared with the metrics.
-    pipeline:
-        ``None`` (default) keeps the classic transport: each flush is
-        one contiguous ``forward_batch`` chunk.  ``"on"``/``"auto"``/
-        ``"off"`` feed flushes to the engine's streaming packed pipeline
-        instead: the stack is split into ``pipeline_chunk``-row chunks
-        that stream through the plan stages (see
-        :mod:`repro.bnn.pipeline`), so a micro-batch's BLAS prefix
-        overlaps the previous chunk's XNOR body.  Requires a real
-        :class:`~repro.bnn.model.InferenceEngine` (the kwarg is only
-        passed when this is set, so duck-typed stub engines keep
-        working).
-    pipeline_chunk:
-        Rows per streaming chunk; defaults to splitting each flush into
-        :data:`DEFAULT_PIPELINE_CHUNKS` chunks.
     """
 
     def __init__(self, engine, *, max_batch: int = 32,
@@ -162,9 +131,7 @@ class MicroBatcher:
                  metrics: Optional[ServingMetrics] = None,
                  after_batch: Optional[Callable[[bool], None]] = None,
                  flush_log: int = DEFAULT_FLUSH_LOG,
-                 clock: Callable[[], float] = time.monotonic,
-                 pipeline: Optional[str] = None,
-                 pipeline_chunk: Optional[int] = None) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_delay_ms < 0.0:
@@ -173,15 +140,6 @@ class MicroBatcher:
             raise ValueError("queue_capacity must be >= 1")
         if flush_log < 1:
             raise ValueError("flush_log must be >= 1")
-        if pipeline is not None:
-            from repro.bnn.pipeline import pipeline_mode
-
-            pipeline_mode(pipeline)  # validates the mode string
-        if pipeline_chunk is not None and pipeline_chunk < 1:
-            raise ValueError("pipeline_chunk must be >= 1")
-        self.pipeline = pipeline
-        self.pipeline_chunk = (int(pipeline_chunk)
-                               if pipeline_chunk is not None else None)
         self.engine = engine
         self.max_batch = int(max_batch)
         self.max_delay_s = float(max_delay_ms) / 1e3
@@ -305,20 +263,12 @@ class MicroBatcher:
         self.metrics.record_flush(stamps, queue_depth=depth_after,
                                   trigger=trigger)
         stack = np.stack([request.image for request in batch])
-        chunk: Optional[int] = None
         try:
-            if self.pipeline is None:
-                logits = self.engine.forward_batch(stack,
-                                                   batch_size=len(batch))
-            else:
-                chunk = self.pipeline_chunk or max(
-                    1, -(-len(batch) // DEFAULT_PIPELINE_CHUNKS))
-                logits = self.engine.forward_batch(
-                    stack, batch_size=chunk, pipeline=self.pipeline)
+            logits = self.engine.forward_batch(stack, batch_size=len(batch))
         except Exception as exc:  # noqa: BLE001 - futures carry the cause
             self.metrics.record_batch_done(stamps, max_batch=self.max_batch,
                                            failed=True)
-            self._log_flush(batch, trigger, ok=False, chunk=chunk)
+            self._log_flush(batch, trigger, ok=False)
             # the hook runs before the futures resolve so a client that
             # observed the outcome sees the breaker already updated
             if self._after_batch is not None:
@@ -327,7 +277,7 @@ class MicroBatcher:
                 request.future.set_exception(exc)
             return
         self.metrics.record_batch_done(stamps, max_batch=self.max_batch)
-        self._log_flush(batch, trigger, ok=True, chunk=chunk)
+        self._log_flush(batch, trigger, ok=True)
         if self._after_batch is not None:
             self._after_batch(True)
         for row, request in enumerate(batch):
@@ -336,10 +286,10 @@ class MicroBatcher:
             request.future.set_result(np.array(logits[row]))
 
     def _log_flush(self, batch: List[_Request], trigger: str, *,
-                   ok: bool, chunk: Optional[int] = None) -> None:
+                   ok: bool) -> None:
         record = FlushRecord(
             request_ids=tuple(request.request_id for request in batch),
-            trigger=trigger, ok=ok, chunk=chunk,
+            trigger=trigger, ok=ok,
         )
         with self._cond:
             self._flush_log.append(record)

@@ -73,12 +73,6 @@ class InferenceService:
     clock:
         Injectable monotonic clock, shared with every component built
         here.
-    pipeline / pipeline_chunk:
-        Streaming-pipeline knobs forwarded to
-        :class:`~repro.serving.batcher.MicroBatcher`: when ``pipeline``
-        is set, flushed micro-batches are split into
-        ``pipeline_chunk``-row chunks that stream through the engine's
-        stage pipeline instead of blocking on the full plan.
     """
 
     def __init__(self, engine, *, max_batch: int = 32,
@@ -88,9 +82,7 @@ class InferenceService:
                  circuit_breaker: Optional[CircuitBreaker] = None,
                  min_p99_samples: int = DEFAULT_MIN_P99_SAMPLES,
                  metrics: Optional[ServingMetrics] = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 pipeline: Optional[str] = None,
-                 pipeline_chunk: Optional[int] = None) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         if deadline_budget_ms is not None and deadline_budget_ms <= 0.0:
             raise ValueError("deadline_budget_ms must be positive")
         self.engine = engine
@@ -105,7 +97,6 @@ class InferenceService:
             engine, max_batch=max_batch, max_delay_ms=max_delay_ms,
             queue_capacity=queue_capacity, metrics=self.metrics,
             after_batch=self._after_batch, clock=clock,
-            pipeline=pipeline, pipeline_chunk=pipeline_chunk,
         )
 
     # ------------------------------------------------------------------ #

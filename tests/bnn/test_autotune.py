@@ -1,262 +1,24 @@
-"""Tests for the persistent per-host kernel-autotune cache.
+"""Tests for the static kernel-dispatch parameters.
 
-The contracts under test: ``REPRO_AUTOTUNE_CACHE=off`` pins the static
-defaults without touching the filesystem; a cache miss measures once and
-persists; a later process (simulated by dropping the in-process
-singleton) reads the file back instead of re-measuring; and — the PR-8
-bugfix — a cache file whose embedded key does not match the running
-host's (version, host, numpy, cpu) identity is re-measured and
-rewritten rather than trusted, as are corrupt and out-of-range files.
+The contract under test: :func:`repro.bnn.autotune.get_params` reports
+the fixed constants the kernels actually use, with ``source ==
+"defaults"``, and :func:`repro.bnn.xnor_ops.choose_matmul_kernel`
+switches from the packed kernel to BLAS exactly at the boundary.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
-import pytest
-
 from repro.bnn import autotune, xnor_ops
 
 
-@pytest.fixture(autouse=True)
-def _fresh_singleton():
-    """Every test resolves from scratch and leaves no singleton behind."""
-    autotune.reset_cached_params()
-    yield
-    autotune.reset_cached_params()
+def test_get_params_reports_the_static_constants():
+    assert autotune.get_params() == autotune.AutotuneParams(
+        dispatch_macs=4096, conv_block_bytes=4 << 20, source="defaults")
+    assert autotune.get_params().dispatch_macs == autotune.DISPATCH_MACS
+    assert autotune.get_params().conv_block_bytes == autotune.CONV_BLOCK_BYTES
 
 
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    """Point the cache at a temp dir (the env-value-as-directory mode)."""
-    directory = tmp_path / "autotune-cache"
-    monkeypatch.setenv(autotune.CACHE_ENV, str(directory))
-    return directory
-
-
-def _fast_measure(monkeypatch, dispatch_macs=2048, conv_block_bytes=2 << 20):
-    """Replace the ~100ms measurement with a canned result."""
-    calls = []
-
-    def fake():
-        calls.append(1)
-        return {"dispatch_macs": dispatch_macs,
-                "conv_block_bytes": conv_block_bytes}
-
-    monkeypatch.setattr(autotune, "measure_params", fake)
-    return calls
-
-
-class TestDisabled:
-    def test_off_returns_defaults_without_filesystem(self, monkeypatch):
-        monkeypatch.setenv(autotune.CACHE_ENV, "off")
-        params = autotune.get_params()
-        assert params == autotune.AutotuneParams(
-            autotune.DEFAULT_DISPATCH_MACS,
-            autotune.DEFAULT_CONV_BLOCK_BYTES,
-            "defaults",
-        )
-        assert autotune.cache_path() is None
-
-    def test_defaults_match_xnor_ops_constants(self, monkeypatch):
-        monkeypatch.setenv(autotune.CACHE_ENV, "off")
-        assert xnor_ops._PACKED_DISPATCH_MACS == autotune.DEFAULT_DISPATCH_MACS
-        assert xnor_ops._CONV_BLOCK_BYTES == autotune.DEFAULT_CONV_BLOCK_BYTES
-
-
-class TestMeasureAndPersist:
-    def test_miss_measures_once_then_hits_cache(self, cache_dir, monkeypatch):
-        calls = _fast_measure(monkeypatch)
-        first = autotune.get_params()
-        assert first.source == "measured"
-        assert first.dispatch_macs == 2048
-        assert os.path.exists(autotune.cache_path())
-        # a "new process": drop the singleton, keep the file
-        autotune.reset_cached_params()
-        second = autotune.get_params()
-        assert second.source == "cache"
-        assert second.dispatch_macs == first.dispatch_macs
-        assert second.conv_block_bytes == first.conv_block_bytes
-        assert len(calls) == 1
-
-    def test_written_payload_carries_versioned_key(self, cache_dir,
-                                                   monkeypatch):
-        _fast_measure(monkeypatch)
-        autotune.get_params()
-        with open(autotune.cache_path(), encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["key"] == autotune.cache_key()
-        assert payload["key"]["version"] == autotune.CACHE_VERSION
-        assert "numpy" in payload["key"] and "cpu" in payload["key"]
-
-    def test_real_measurement_lands_in_clamp_window(self, cache_dir):
-        params = autotune.get_params()
-        assert params.source == "measured"
-        low, high = autotune._DISPATCH_MACS_RANGE
-        assert low <= params.dispatch_macs <= high
-        low, high = autotune._CONV_BLOCK_RANGE
-        assert low <= params.conv_block_bytes <= high
-        # pinned dispatch behaviour survives any measured boundary
-        assert xnor_ops.choose_matmul_kernel(1, 4, 16) == "packed"
-        assert xnor_ops.choose_matmul_kernel(1024, 128, 1152) == "blas"
-
-
-class TestStaleAndCorrupt:
-    def test_mismatched_key_re_measures_and_rewrites(self, cache_dir,
-                                                     monkeypatch):
-        """PR-8 bugfix: an image upgrade must invalidate the cache."""
-        calls = _fast_measure(monkeypatch, dispatch_macs=4096)
-        path = autotune.cache_path()
-        stale_key = dict(autotune.cache_key())
-        stale_key["numpy"] = "1.0.0"
-        stale_key["cpu"] = "Last Host's CPU"
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"key": stale_key,
-                       "params": {"dispatch_macs": 666666,
-                                  "conv_block_bytes": 2 << 20}}, handle)
-        params = autotune.get_params()
-        assert params.source == "measured"
-        assert params.dispatch_macs == 4096  # not the stale 666666
-        assert len(calls) == 1
-        with open(path, encoding="utf-8") as handle:
-            rewritten = json.load(handle)
-        assert rewritten["key"] == autotune.cache_key()
-        assert rewritten["params"]["dispatch_macs"] == 4096
-
-    def test_version_bump_alone_invalidates(self, cache_dir, monkeypatch):
-        _fast_measure(monkeypatch)
-        path = autotune.cache_path()
-        old_key = dict(autotune.cache_key())
-        old_key["version"] = autotune.CACHE_VERSION - 1
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"key": old_key,
-                       "params": {"dispatch_macs": 1024,
-                                  "conv_block_bytes": 2 << 20}}, handle)
-        assert autotune.get_params().source == "measured"
-
-    @pytest.mark.parametrize("content", [
-        "not json at all",
-        json.dumps(["wrong", "shape"]),
-        json.dumps({"key": None, "params": {}}),
-    ])
-    def test_corrupt_file_is_re_measured(self, cache_dir, monkeypatch,
-                                         content):
-        _fast_measure(monkeypatch)
-        path = autotune.cache_path()
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        assert autotune.get_params().source == "measured"
-        autotune.reset_cached_params()
-        assert autotune.get_params().source == "cache"  # rewritten valid
-
-    def test_out_of_range_cached_values_rejected(self, cache_dir,
-                                                 monkeypatch):
-        _fast_measure(monkeypatch)
-        path = autotune.cache_path()
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"key": autotune.cache_key(),
-                       "params": {"dispatch_macs": 1 << 40,
-                                  "conv_block_bytes": 2 << 20}}, handle)
-        assert autotune.get_params().source == "measured"
-
-    def test_unwritable_cache_dir_still_returns_measurement(
-            self, monkeypatch, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file where the cache dir should go")
-        monkeypatch.setenv(autotune.CACHE_ENV, str(blocker / "sub"))
-        _fast_measure(monkeypatch, dispatch_macs=1024)
-        params = autotune.get_params()
-        assert params.source == "measured"
-        assert params.dispatch_macs == 1024
-
-
-class TestDispatchWiring:
-    def test_choose_matmul_kernel_follows_cached_boundary(
-            self, cache_dir, monkeypatch):
-        boundary = 100_000
-        _fast_measure(monkeypatch, dispatch_macs=boundary)
-        autotune.get_params()
-        # 32*32*32 = 32768 MACs: packed under the raised boundary...
-        assert xnor_ops.choose_matmul_kernel(32, 32, 32) == "packed"
-        # ...but blas with the cache disabled (default boundary 4096)
-        autotune.reset_cached_params()
-        monkeypatch.setenv(autotune.CACHE_ENV, "off")
-        assert xnor_ops.choose_matmul_kernel(32, 32, 32) == "blas"
-
-
-class TestPipelineDecisions:
-    """The streaming-pipeline section of the same per-host cache file."""
-
-    def test_record_then_read_back_across_processes(self, cache_dir):
-        sig = "MLP-L|dense,fused,fused,dense|bs32"
-        recorded = autotune.record_pipeline_decision(sig, 1.42)
-        assert recorded == {"speedup": 1.42, "profitable": True,
-                            "source": "measured"}
-        assert autotune.pipeline_decision(sig)["source"] == "memory"
-        # a "new process": drop the memo, keep the file
-        autotune.reset_cached_params()
-        read_back = autotune.pipeline_decision(sig)
-        assert read_back["source"] == "cache"
-        assert read_back["speedup"] == 1.42
-        assert read_back["profitable"] is True
-
-    def test_threshold_separates_verdicts(self, cache_dir):
-        below = autotune.PIPELINE_MIN_SPEEDUP - 0.01
-        assert not autotune.record_pipeline_decision("a", below)["profitable"]
-        assert autotune.record_pipeline_decision(
-            "b", autotune.PIPELINE_MIN_SPEEDUP)["profitable"]
-
-    def test_unknown_signature_is_none(self, cache_dir):
-        assert autotune.pipeline_decision("never-measured") is None
-
-    def test_disabled_cache_keeps_in_process_memo_only(self, monkeypatch):
-        monkeypatch.setenv(autotune.CACHE_ENV, "off")
-        autotune.record_pipeline_decision("sig", 2.0)
-        assert autotune.pipeline_decision("sig")["source"] == "memory"
-        autotune.reset_cached_params()  # "new process": nothing persisted
-        assert autotune.pipeline_decision("sig") is None
-
-    def test_params_rewrite_preserves_pipeline_section(self, cache_dir,
-                                                       monkeypatch):
-        autotune.record_pipeline_decision("sig", 1.3)
-        _fast_measure(monkeypatch, dispatch_macs=1024)
-        autotune.reset_cached_params()
-        assert autotune.get_params().source == "measured"
-        autotune.reset_cached_params()
-        survived = autotune.pipeline_decision("sig")
-        assert survived is not None and survived["source"] == "cache"
-
-    def test_pipeline_write_preserves_params_section(self, cache_dir,
-                                                     monkeypatch):
-        _fast_measure(monkeypatch, dispatch_macs=2048)
-        assert autotune.get_params().source == "measured"
-        autotune.record_pipeline_decision("sig", 1.1)
-        autotune.reset_cached_params()
-        assert autotune.get_params().source == "cache"
-
-    def test_corrupt_pipeline_entry_is_ignored(self, cache_dir):
-        autotune.record_pipeline_decision("sig", 1.3)
-        path = autotune.cache_path()
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["pipeline"]["sig"] = {"speedup": "fast", "profitable": "yes"}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        autotune.reset_cached_params()
-        assert autotune.pipeline_decision("sig") is None
-
-    def test_stale_key_drops_pipeline_decisions_too(self, cache_dir):
-        autotune.record_pipeline_decision("sig", 1.3)
-        path = autotune.cache_path()
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["key"]["numpy"] = "1.0.0"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        autotune.reset_cached_params()
-        assert autotune.pipeline_decision("sig") is None
+def test_choose_matmul_kernel_switches_at_the_boundary():
+    # 16 * 16 * 16 = 4096 MACs: packed at the boundary, BLAS one row above
+    assert xnor_ops.choose_matmul_kernel(16, 16, 16) == "packed"
+    assert xnor_ops.choose_matmul_kernel(17, 16, 16) == "blas"

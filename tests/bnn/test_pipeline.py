@@ -6,14 +6,17 @@ evaluation networks, with seeded flip noise, at odd tail chunks and
 ``batch_size=1`` — because chunk boundaries and the per-``(offset,
 step_index)`` flip-noise seed derivation are unchanged.  Around that:
 stage planning (prefix/body/tail splits, degenerate single-stage plans),
-mode resolution (argument beats env beats the ``auto`` default), the
-autotune-backed ``auto`` decision, and crash behaviour (a stage
-exception propagates to the caller and leaves no live pipeline
-threads).
+the static dispatch rule of ``forward_batch`` (stream iff >= 2 effective
+CPUs, >= 2 chunks and >= 2 stages; no timing, nothing persisted), and
+crash behaviour (a stage exception propagates to the caller and leaves
+no live pipeline threads).
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bnn import autotune
+from repro.bnn import pipeline as pipeline_mod
 from repro.bnn.layers import (
     BatchNorm,
     BinaryConv2d,
@@ -34,11 +37,9 @@ from repro.bnn.layers import (
 from repro.bnn.model import BNNModel, InferenceEngine
 from repro.bnn.networks import build_network, list_networks
 from repro.bnn.pipeline import (
-    PIPELINE_ENV,
     StreamingPipeline,
     maybe_stream,
     pipeline_mode,
-    plan_signature,
     plan_stages,
 )
 from repro.utils.rng import make_rng
@@ -85,9 +86,17 @@ def _dense_only(rng) -> BNNModel:
 
 def _assert_pipeline_exact(engine: InferenceEngine, x: np.ndarray,
                            batch_size: int) -> None:
-    serial = engine.forward_batch(x, batch_size=batch_size, pipeline="off")
-    piped = engine.forward_batch(x, batch_size=batch_size, pipeline="on")
+    serial = engine._run_serial(x, batch_size)
+    piped, _ = StreamingPipeline(engine).run(x, batch_size)
     assert serial.tobytes() == piped.tobytes()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the effective CPU count the dispatch rule sees."""
+    def set_cpus(count: int) -> None:
+        monkeypatch.setattr(pipeline_mod, "effective_cpus", lambda: count)
+    return set_cpus
 
 
 def _pipeline_threads():
@@ -136,48 +145,64 @@ class TestStagePlanning:
         assert len(stages) == 1
         assert StreamingPipeline(engine).num_stages == 1
 
-    def test_plan_signature_distinguishes_batch_size(self):
-        engine = InferenceEngine(_small_mlp(make_rng(3)))
-        assert plan_signature(engine, 4) != plan_signature(engine, 8)
-        assert engine.model.name in plan_signature(engine, 4)
 
+class TestStaticDispatch:
+    """``forward_batch`` streams iff >= 2 CPUs, >= 2 chunks, >= 2 stages."""
 
-class TestModeResolution:
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(PIPELINE_ENV, "on")
-        assert pipeline_mode("off") == "off"
-        assert pipeline_mode(None) == "on"
+    @pytest.mark.parametrize("count,rows,build,streams", [
+        (1, 8, _small_mlp, False),   # one effective CPU
+        (2, 2, _small_mlp, False),   # one chunk
+        (2, 8, _dense_only, False),  # one-stage plan
+        (2, 8, _small_mlp, True),
+        (4, 9, _small_cnn, True),
+    ])
+    def test_rule_table(self, cpus, monkeypatch, count, rows, build,
+                        streams):
+        cpus(count)
+        runs = []
+        original = StreamingPipeline.run
 
-    def test_env_unset_or_invalid_is_auto(self, monkeypatch):
-        monkeypatch.delenv(PIPELINE_ENV, raising=False)
-        assert pipeline_mode(None) == "auto"
-        monkeypatch.setenv(PIPELINE_ENV, "bogus")
-        assert pipeline_mode(None) == "auto"
+        def spy(self, x, batch_size):
+            runs.append(batch_size)
+            return original(self, x, batch_size)
 
-    def test_invalid_argument_raises(self):
-        with pytest.raises(ValueError, match="pipeline"):
-            pipeline_mode("bogus")
+        monkeypatch.setattr(StreamingPipeline, "run", spy)
+        rng = make_rng(3)
+        model = build(rng)
+        model.eval()
+        engine = InferenceEngine(model, flip_rate=0.05, seed=4)
+        x = rng.uniform(-1, 1, size=(rows, *model.input_shape))
+        out = engine.forward_batch(x, batch_size=2)
+        assert bool(runs) == streams
+        assert out.tobytes() == engine._run_serial(x, 2).tobytes()
 
-    def test_forward_batch_rejects_pipeline_with_parallel_knobs(self):
-        rng = make_rng(4)
-        engine = InferenceEngine(_small_mlp(rng))
-        x = rng.uniform(-1, 1, size=(4, 12))
-        with pytest.raises(ValueError, match="serial path"):
-            engine.forward_batch(x, batch_size=2, pipeline="on",
-                                 backend="thread")
-        with pytest.raises(ValueError, match="serial path"):
-            engine.forward_batch(x, batch_size=2, pipeline="on", workers=2)
+    def test_pipeline_mode_follows_effective_cpus(self, cpus):
+        cpus(1)
+        assert pipeline_mode() == "off"
+        cpus(2)
+        assert pipeline_mode() == "on"
 
-    def test_env_on_defers_to_explicit_executor(self, monkeypatch):
-        # a fleet-wide REPRO_ENGINE_PIPELINE=on must not break callers
-        # that pass chunk-parallel knobs — the env silently defers
-        monkeypatch.setenv(PIPELINE_ENV, "on")
-        rng = make_rng(5)
-        engine = InferenceEngine(_small_mlp(rng))
-        x = rng.uniform(-1, 1, size=(5, 12))
-        serial = engine.forward_batch(x, batch_size=2, pipeline="off")
-        threaded = engine.forward_batch(x, batch_size=2, backend="thread")
-        assert serial.tobytes() == threaded.tobytes()
+    def test_forward_batch_persists_nothing(self, tmp_path):
+        """No timing probe, no per-host cache file under ``$HOME``."""
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(pipeline_mod.__file__))))
+        env["HOME"] = str(tmp_path)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import numpy as np\n"
+            "from repro.bnn.model import InferenceEngine\n"
+            "from repro.bnn.networks import build_network\n"
+            "model = build_network('MLP-S', seed=1)\n"
+            "x = np.random.default_rng(0).uniform(\n"
+            "    -1, 1, size=(64, *model.input_shape))\n"
+            "InferenceEngine(model).forward_batch(x, batch_size=16)\n"
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       timeout=120)
+        assert not (tmp_path / ".cache").exists()
 
 
 class TestBitExactness:
@@ -221,20 +246,22 @@ class TestBitExactness:
         x = rng.uniform(-1, 1, size=(6, 12))
         _assert_pipeline_exact(engine, x, 1)
 
-    def test_single_stage_degenerate_plan_falls_back(self):
+    def test_single_stage_degenerate_plan_falls_back(self, cpus):
+        cpus(2)
         rng = make_rng(13)
         model = _dense_only(rng)
         model.eval()
         engine = InferenceEngine(model)
         x = rng.uniform(-1, 1, size=(6, 6))
-        assert maybe_stream(engine, x, 2, "on") is None
-        _assert_pipeline_exact(engine, x, 2)  # "on" degrades to serial
+        assert maybe_stream(engine, x, 2) is None
+        _assert_pipeline_exact(engine, x, 2)  # run() degrades to serial
 
-    def test_single_chunk_falls_back(self):
+    def test_single_chunk_falls_back(self, cpus):
+        cpus(2)
         rng = make_rng(14)
         engine = InferenceEngine(_small_mlp(rng))
         x = rng.uniform(-1, 1, size=(4, 12))
-        assert maybe_stream(engine, x, 8, "on") is None
+        assert maybe_stream(engine, x, 8) is None
 
     def test_direct_run_reports_stage_stats(self):
         rng = make_rng(15)
@@ -242,8 +269,7 @@ class TestBitExactness:
         x = rng.uniform(-1, 1, size=(8, 3, 8, 8))
         pipe = StreamingPipeline(engine)
         out, stats = pipe.run(x, 2)
-        assert out.tobytes() == engine.forward_batch(
-            x, batch_size=2, pipeline="off").tobytes()
+        assert out.tobytes() == engine._run_serial(x, 2).tobytes()
         assert [s.name for s in stats] == [s.name for s in pipe.stages]
         assert all(s.chunks == 4 for s in stats)
         assert all(0.0 <= s.occupancy <= 1.0 for s in stats)
@@ -281,7 +307,8 @@ class TestCrash:
             StreamingPipeline(engine).run(x, 2)
         assert not _pipeline_threads()
 
-    def test_forward_batch_surfaces_the_stage_error(self):
+    def test_forward_batch_surfaces_the_stage_error(self, cpus):
+        cpus(2)
         rng = make_rng(18)
         engine = InferenceEngine(_small_mlp(rng))
         x = rng.uniform(-1, 1, size=(8, 12))
@@ -294,64 +321,4 @@ class TestCrash:
 
         engine._run_steps = exploding
         with pytest.raises(RuntimeError, match="mid-stream"):
-            engine.forward_batch(x, batch_size=2, pipeline="on")
-
-
-class TestAutoDecision:
-    @pytest.fixture(autouse=True)
-    def _fresh(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(autotune.CACHE_ENV, str(tmp_path / "cache"))
-        autotune.reset_cached_params()
-        yield
-        autotune.reset_cached_params()
-
-    def test_auto_measures_once_then_reuses(self, monkeypatch):
-        rng = make_rng(19)
-        engine = InferenceEngine(_small_mlp(rng))
-        x = rng.uniform(-1, 1, size=(64, 12))
-        measured = []
-
-        def fake_measure(eng, data, batch_size, **kwargs):
-            measured.append(batch_size)
-            return 2.0  # profitable
-
-        from repro.bnn import pipeline as pipeline_mod
-        monkeypatch.setattr(pipeline_mod, "measure_speedup", fake_measure)
-        out_auto = engine.forward_batch(x, batch_size=16, pipeline="auto")
-        assert measured == [16]
-        engine.forward_batch(x, batch_size=16, pipeline="auto")
-        assert measured == [16]  # decision memoised
-        assert out_auto.tobytes() == engine.forward_batch(
-            x, batch_size=16, pipeline="off").tobytes()
-        decision = autotune.pipeline_decision(plan_signature(engine, 16))
-        assert decision is not None and decision["profitable"]
-
-    def test_unprofitable_verdict_keeps_serial_path(self, monkeypatch):
-        rng = make_rng(20)
-        engine = InferenceEngine(_small_mlp(rng))
-        x = rng.uniform(-1, 1, size=(64, 12))
-        autotune.record_pipeline_decision(plan_signature(engine, 16), 0.8)
-        ran = []
-
-        class NeverRun(StreamingPipeline):
-            def run(self, *args, **kwargs):  # pragma: no cover - guard
-                ran.append(True)
-                return super().run(*args, **kwargs)
-
-        from repro.bnn import pipeline as pipeline_mod
-        monkeypatch.setattr(pipeline_mod, "StreamingPipeline", NeverRun)
-        engine.forward_batch(x, batch_size=16, pipeline="auto")
-        assert not ran
-
-    def test_auto_skips_tiny_batches_without_measuring(self, monkeypatch):
-        rng = make_rng(21)
-        engine = InferenceEngine(_small_mlp(rng))
-        x = rng.uniform(-1, 1, size=(8, 12))
-
-        def exploding_measure(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("tiny batches must not be probed")
-
-        from repro.bnn import pipeline as pipeline_mod
-        monkeypatch.setattr(pipeline_mod, "measure_speedup",
-                            exploding_measure)
-        assert maybe_stream(engine, x, 2, "auto") is None
+            engine.forward_batch(x, batch_size=2)

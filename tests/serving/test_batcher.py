@@ -276,72 +276,3 @@ def test_dispatcher_thread_exits_after_close():
     while batcher._dispatcher.is_alive() and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not batcher._dispatcher.is_alive()
-
-
-class TestStreamingPipeline:
-    """The opt-in pipeline= transport: chunked flushes, exact replay."""
-
-    def _engine(self, seed=0):
-        from repro.bnn.layers import (
-            BatchNorm, BinaryLinear, Linear, SignActivation,
-        )
-        from repro.bnn.model import BNNModel, InferenceEngine
-        from repro.utils.rng import make_rng
-
-        rng = make_rng(seed)
-        model = BNNModel(
-            [Linear(4, 10, rng=rng), BatchNorm(10), SignActivation(),
-             BinaryLinear(10, 9, rng=rng), BatchNorm(9), SignActivation(),
-             BinaryLinear(9, 8, rng=rng), BatchNorm(8), SignActivation(),
-             Linear(8, 3, rng=rng)],
-            name="serving-mlp", input_shape=SHAPE)
-        return InferenceEngine(model, flip_rate=0.02, seed=seed)
-
-    def test_pipelined_flush_replays_byte_identical(self):
-        engine = self._engine()
-        rng = np.random.default_rng(1)
-        images = [rng.uniform(-1, 1, size=SHAPE) for _ in range(8)]
-        batcher = MicroBatcher(engine, max_batch=8, max_delay_ms=10_000.0,
-                               input_shape=SHAPE, pipeline="on",
-                               pipeline_chunk=2)
-        try:
-            futures = [batcher.submit(image) for image in images]
-            rows = [f.result(timeout=10.0) for f in futures]
-        finally:
-            batcher.close()
-        record = batcher.flush_log()[0]
-        assert record.chunk == 2
-        by_id = {f.request_id: row for f, row in zip(futures, rows)}
-        stack = np.stack([images[rid] for rid in record.request_ids])
-        replay = engine.forward_batch(stack, batch_size=record.chunk)
-        for row_index, rid in enumerate(record.request_ids):
-            assert replay[row_index].tobytes() == by_id[rid].tobytes()
-
-    def test_default_chunk_splits_the_flush(self):
-        engine = self._engine(seed=2)
-        rng = np.random.default_rng(3)
-        batcher = MicroBatcher(engine, max_batch=8, max_delay_ms=10_000.0,
-                               input_shape=SHAPE, pipeline="off")
-        try:
-            futures = [batcher.submit(rng.uniform(-1, 1, size=SHAPE))
-                       for _ in range(8)]
-            for f in futures:
-                f.result(timeout=10.0)
-        finally:
-            batcher.close()
-        # 8 requests / DEFAULT_PIPELINE_CHUNKS -> 2-row chunks
-        assert batcher.flush_log()[0].chunk == 2
-
-    def test_classic_transport_records_no_chunk(self):
-        engine = StubEngine()
-        with MicroBatcher(engine, max_batch=4, max_delay_ms=1.0,
-                          input_shape=SHAPE) as batcher:
-            batcher.submit(_image(1.0)).result(timeout=10.0)
-        assert batcher.flush_log()[0].chunk is None
-
-    def test_invalid_pipeline_mode_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="pipeline"):
-            MicroBatcher(StubEngine(), input_shape=SHAPE, pipeline="bogus")
-        with pytest.raises(ValueError, match="pipeline_chunk"):
-            MicroBatcher(StubEngine(), input_shape=SHAPE, pipeline="on",
-                         pipeline_chunk=0)
