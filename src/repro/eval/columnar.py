@@ -43,7 +43,7 @@ import io
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import (
     Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -96,6 +96,9 @@ SWEEP_RECORD_DTYPE = np.dtype([
 #: SweepRecord fields whose ``None`` is stored as NaN (Optional[float])
 _NULLABLE_FIELDS = ("noise_sigma", "popcount_error")
 
+#: value types :func:`task_identity` hashes without going through ``asdict``
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
 
 class CorruptSegmentError(RuntimeError):
     """A segment's bytes do not match the manifest's checksum."""
@@ -113,16 +116,26 @@ def task_identity(point: object, *,
     changes.  Attached to every queued task and every published row,
     it is what lets an interrupted/extended/re-submitted sweep *resume*
     by skipping already-published identities.
+
+    A dataclass whose field values are all JSON scalars is read field by
+    field; any other value (a nested dataclass, a tuple, a NumPy scalar)
+    goes through :func:`dataclasses.asdict`, so both routes hash the same
+    canonical JSON.
     """
     if is_dataclass(point) and not isinstance(point, type):
-        fields: Mapping[str, object] = asdict(point)
+        values: Mapping[str, object] = {
+            field.name: getattr(point, field.name) for field in fields(point)
+        }
+        if not all(type(value) in _JSON_SCALARS
+                   for value in values.values()):
+            values = asdict(point)
     elif isinstance(point, Mapping):
-        fields = dict(point)
+        values = dict(point)
     else:
         raise TypeError(
             f"point must be a dataclass instance or a mapping, got {point!r}"
         )
-    payload = {"point": fields, "schema": int(schema_version)}
+    payload = {"point": values, "schema": int(schema_version)}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -150,28 +163,18 @@ def array_to_sweep_records(
     Exactly inverts :func:`sweep_records_to_array`: NaN in a nullable
     field becomes ``None`` again and integer/float fields come back as
     native Python scalars, so a round-tripped :class:`SweepRecord`
-    compares (and pickles) identical to the original.
+    compares (and pickles) identical to the original.  Decoding goes
+    column by column (``tolist`` per field), never through per-row NumPy
+    scalars.
     """
-    pairs: List[Tuple[str, SweepRecord]] = []
-    field_types = {name: SWEEP_RECORD_DTYPE[name].kind
-                   for name in SWEEP_RECORD_DTYPE.names}
-    for row in arr:
-        values: Dict[str, object] = {}
-        for name in SWEEP_RECORD_DTYPE.names:
-            value = row[name]
-            kind = field_types[name]
-            if kind == "U":
-                values[name] = str(value)
-            elif kind == "i":
-                values[name] = int(value)
-            else:
-                values[name] = float(value)
-        for name in _NULLABLE_FIELDS:
-            if isinstance(values[name], float) and np.isnan(values[name]):
-                values[name] = None
-        identity = str(values.pop("identity"))
-        pairs.append((identity, SweepRecord(**values)))
-    return pairs
+    columns = {name: arr[name].tolist() for name in SWEEP_RECORD_DTYPE.names}
+    for name in _NULLABLE_FIELDS:
+        columns[name] = [None if value != value else value
+                         for value in columns[name]]
+    identities = columns.pop("identity")
+    names = tuple(columns)
+    return [(identity, SweepRecord(**dict(zip(names, values))))
+            for identity, *values in zip(identities, *columns.values())]
 
 
 @dataclass(frozen=True)

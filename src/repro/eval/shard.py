@@ -137,13 +137,22 @@ class SweepPartition:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """What :func:`prepare_sweep` queued (and what it skipped)."""
+    """What :func:`prepare_sweep` queued (and what it skipped).
+
+    ``identified`` holds every grid point in grid order with its task
+    identity, published or not, so aggregation reuses the identities the
+    planner already computed.
+    """
 
     grid: SweepGrid
     schema_version: int
     partitions: Tuple[SweepPartition, ...]
-    total_points: int
+    identified: Tuple[IdentifiedPoint, ...]
     skipped: int
+
+    @property
+    def total_points(self) -> int:
+        return len(self.identified)
 
     @property
     def pending(self) -> int:
@@ -183,7 +192,7 @@ def plan_shards(grid: SweepGrid, *, partitions: Optional[int] = None,
             start += size
     return ShardPlan(
         grid=grid, schema_version=schema_version,
-        partitions=tuple(shards), total_points=len(points),
+        partitions=tuple(shards), identified=tuple(points),
         skipped=len(points) - len(pending),
     )
 
@@ -313,7 +322,8 @@ def drain_and_aggregate(root: str, plan: ShardPlan, *,
         columnar.append(sweep_records_to_array(rows))
         backend.remove_tree(part_root)
     return aggregate_sweep(root, plan.grid,
-                           schema_version=plan.schema_version)
+                           schema_version=plan.schema_version,
+                           identified=plan.identified)
 
 
 def run_sharded_sweep(grid: SweepGrid, root: str, *,
@@ -375,7 +385,8 @@ def _merge_runs(left: _Run, right: _Run) -> _Run:
 
 
 def aggregate_sweep(root: str, grid: SweepGrid, *,
-                    schema_version: int = RECORD_SCHEMA_VERSION
+                    schema_version: int = RECORD_SCHEMA_VERSION,
+                    identified: Optional[Sequence[IdentifiedPoint]] = None
                     ) -> SweepResult:
     """Assemble the final :class:`SweepResult` from the columnar store.
 
@@ -387,12 +398,22 @@ def aggregate_sweep(root: str, grid: SweepGrid, *,
     the current grid (a superseded schema, a shrunk grid) are ignored;
     a grid point with *no* published row fails loudly with the resume
     instruction instead of returning a silently-partial result.
+
+    ``identified`` is the grid's :func:`identified_points` when the
+    caller already has them (a :class:`ShardPlan` does); they are
+    computed here otherwise.  A list whose length differs from the
+    grid's point count raises :class:`ValueError`.
     """
+    if identified is None:
+        identified = identified_points(grid, schema_version=schema_version)
+    elif len(identified) != grid.num_points:
+        raise ValueError(
+            f"identified has {len(identified)} points but the grid has "
+            f"{grid.num_points}; pass identified_points(grid) of this grid"
+        )
     columnar = columnar_store(root, schema_version=schema_version)
     position: Dict[str, int] = {
-        identity: index for index, (identity, _) in enumerate(
-            identified_points(grid, schema_version=schema_version)
-        )
+        identity: index for index, (identity, _) in enumerate(identified)
     }
     runs: List[_Run] = []
     for arr in columnar.iter_segments():

@@ -301,6 +301,23 @@ class SweepGrid:
         if self.noise_trials < 1:
             raise ValueError("noise_trials must be >= 1")
 
+    @property
+    def num_points(self) -> int:
+        """``len(self.points())``, counted without building any spec."""
+        per_network = sum(
+            (len(self.wdm_capacities) if design in WDM_DESIGNS else 1)
+            * (len(self.columns_per_adc)
+               if design in ADC_SHARING_DESIGNS else 1)
+            * (len(self.vcores_per_ecore) * len(self.ecores_per_tile)
+               * len(self.tiles_per_node)
+               if design in HIERARCHY_DESIGNS else 1)
+            for design in self.designs
+        )
+        return (len(self.networks) * per_network * len(self.crossbar_sizes)
+                * len(self.noise_sigmas or (None,))
+                * len(self.thermal_sigmas) * len(self.shot_factors)
+                * len(self.ir_drop_alphas))
+
     def points(self) -> List["SweepPointSpec"]:
         """Expand the grid into self-contained, picklable point specs.
 

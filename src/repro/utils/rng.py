@@ -9,7 +9,8 @@ single place.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from functools import lru_cache
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,8 +52,22 @@ def spawn_rngs(seed: RngLike, count: int) -> Sequence[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
+@lru_cache(maxsize=256)
+def _base_draw(seed: Optional[int]) -> int:
+    """First draw of a fresh generator seeded with ``seed`` (memoised)."""
+    return int(make_rng(seed).integers(0, 2**31 - 1))
+
+
 def derive_seed(seed: RngLike, salt: str) -> int:
-    """Derive a reproducible integer seed from ``seed`` and a string salt."""
-    base = make_rng(seed)
+    """Derive a reproducible integer seed from ``seed`` and a string salt.
+
+    For ``None`` and integer seeds the base draw depends on the seed alone,
+    so it is memoised; a :class:`numpy.random.Generator` is drawn from (and
+    advanced) on every call.
+    """
+    if seed is None or isinstance(seed, (int, np.integer)):
+        base = _base_draw(None if seed is None else int(seed))
+    else:
+        base = int(make_rng(seed).integers(0, 2**31 - 1))
     salt_value = sum(ord(c) * (i + 1) for i, c in enumerate(salt)) % (2**31)
-    return int(base.integers(0, 2**31 - 1)) ^ salt_value
+    return base ^ salt_value

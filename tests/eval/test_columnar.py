@@ -232,3 +232,55 @@ def test_array_round_trip_survives_helper_inverse():
         _record(network="Δ-net", nodes_required=12, node_utilisation=0.5),
     ])
     assert array_to_sweep_records(sweep_records_to_array(pairs)) == pairs
+
+
+def _row_wise_decode(arr):
+    """Reference copy of the original per-row, per-NumPy-scalar decoder."""
+    pairs = []
+    field_types = {name: SWEEP_RECORD_DTYPE[name].kind
+                   for name in SWEEP_RECORD_DTYPE.names}
+    for row in arr:
+        values = {}
+        for name in SWEEP_RECORD_DTYPE.names:
+            value = row[name]
+            kind = field_types[name]
+            if kind == "U":
+                values[name] = str(value)
+            elif kind == "i":
+                values[name] = int(value)
+            else:
+                values[name] = float(value)
+        for name in ("noise_sigma", "popcount_error"):
+            if isinstance(values[name], float) and np.isnan(values[name]):
+                values[name] = None
+        identity = str(values.pop("identity"))
+        pairs.append((identity, SweepRecord(**values)))
+    return pairs
+
+
+def test_column_wise_decode_matches_row_wise_reference():
+    """Same records, same pickle bytes, same exact Python types."""
+    i64 = np.iinfo(np.int64)
+    arr = sweep_records_to_array(_pairs([
+        _record(noise_sigma=None, popcount_error=None),
+        _record(network="MLP-Ünïcødé-网", design="設計-Δ",
+                crossbar_size=int(i64.max), wdm_capacity=int(i64.min),
+                vcores_required=int(i64.min), nodes_required=int(i64.max)),
+        _record(noise_sigma=0.0, popcount_error=None, latency_s=float("inf"),
+                energy_j=-0.0, speedup_vs_baseline=5e-324,
+                node_utilisation=float("nan")),
+        _record(noise_sigma=None, popcount_error=0.0, network=""),
+    ]))
+    got = array_to_sweep_records(arr)
+    want = _row_wise_decode(arr)
+    assert len(got) == len(want) == 4
+    for (got_id, got_record), (want_id, want_record) in zip(got, want):
+        assert pickle.dumps((got_id, got_record)) == \
+            pickle.dumps((want_id, want_record))
+        assert type(got_id) is str
+        for name, value in got_record.to_dict().items():
+            assert type(value) is type(getattr(want_record, name)), name
+            assert type(value) in (int, float, str, type(None)), name
+    assert got[0][1].noise_sigma is None and got[0][1].popcount_error is None
+    assert got[2][1].noise_sigma == 0.0 and got[3][1].popcount_error == 0.0
+    assert array_to_sweep_records(arr[:0]) == []

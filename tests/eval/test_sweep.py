@@ -80,6 +80,21 @@ class TestSweepGrid:
         seeds = [p.seed for p in small_grid.points()]
         assert len(set(seeds)) == len(seeds)
 
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"designs": ("baseline_epcm",), "crossbar_sizes": (256,)},
+        {"networks": ("MLP-S", "CNN-S"), "crossbar_sizes": (64, 128),
+         "wdm_capacities": (1, 4, 16), "noise_sigmas": (0.0, 0.01),
+         "thermal_sigmas": (0.0, 0.02), "shot_factors": (0.0, 0.5),
+         "ir_drop_alphas": (0.0, 0.1), "columns_per_adc": (None, 2)},
+        {"designs": ("baseline_epcm", "tacitmap_epcm", "einsteinbarrier"),
+         "columns_per_adc": (None, 2, 4), "vcores_per_ecore": (None, 2),
+         "ecores_per_tile": (None, 2), "tiles_per_node": (None, 1, 2, 4)},
+    ])
+    def test_num_points_counts_the_expansion(self, kwargs):
+        grid = SweepGrid(**kwargs)
+        assert grid.num_points == len(grid.points())
+
 
 class TestRunSweep:
     def test_deterministic_across_runs_and_workers(self, small_grid):

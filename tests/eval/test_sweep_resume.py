@@ -18,12 +18,16 @@ scale (>= 10^4 grid points across >= 8 partitions).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import pickle
 import subprocess
 import sys
 import time
+from typing import Optional, Tuple
 
+import numpy as np
 import pytest
 
 import _shard_helpers as helpers
@@ -398,6 +402,130 @@ class TestTaskIdentity:
     def test_identity_rejects_non_point_values(self):
         with pytest.raises(TypeError, match="dataclass instance or a map"):
             task_identity(["not", "a", "point"])
+
+    @staticmethod
+    def _asdict_identity(point, schema_version=RECORD_SCHEMA_VERSION):
+        """The identity's definition: canonical JSON of ``asdict``."""
+        from dataclasses import asdict
+
+        blob = json.dumps({"point": asdict(point), "schema": schema_version},
+                          sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=True)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def test_identity_matches_asdict_reference_off_default_axes(self):
+        grid = SweepGrid(
+            networks=("MLP-S",),
+            designs=("baseline_epcm", "tacitmap_epcm", "einsteinbarrier"),
+            crossbar_sizes=(64,),
+            wdm_capacities=(4,),
+            noise_sigmas=(0.01,),
+            thermal_sigmas=(0.02,),
+            shot_factors=(0.5,),
+            ir_drop_alphas=(0.1,),
+            columns_per_adc=(None, 2),
+            vcores_per_ecore=(None, 2),
+            ecores_per_tile=(None, 2),
+            tiles_per_node=(None, 4),
+            seed=9,
+        )
+        pairs = identified_points(grid)
+        specs = [spec for _, spec in pairs]
+        assert any(spec.columns_per_adc is None for spec in specs)
+        assert any(spec.hierarchy == (2, 2, 4) and spec.columns_per_adc == 2
+                   for spec in specs)
+        for identity, spec in pairs:
+            assert identity == self._asdict_identity(spec)
+            assert task_identity(spec, schema_version=7) == \
+                self._asdict_identity(spec, schema_version=7)
+
+    def test_perfbench_shaped_grid_identities_are_pinned(self):
+        """The 516-point sharded benchmark grid hashes as it always has."""
+        grid = SweepGrid(
+            networks=("MLP-S", "CNN-S"),
+            designs=("baseline_epcm", "tacitmap_epcm", "einsteinbarrier"),
+            crossbar_sizes=(128, 256),
+            wdm_capacities=(1, 4, 16),
+            columns_per_adc=(None, 2),
+            vcores_per_ecore=(None, 2),
+            ecores_per_tile=(None, 2),
+            tiles_per_node=(None, 1, 2, 4),
+            seed=1,
+        )
+        identities = [identity for identity, _ in identified_points(grid)]
+        assert len(identities) == 516
+        assert hashlib.sha256("\n".join(identities).encode()).hexdigest() == (
+            "d113d126820f3f0d9dac731ae81b9da3e341e927bbd68fdb1f1e7478da3b9dc1"
+        )
+
+    def test_non_scalar_fields_take_the_asdict_route(self):
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class Inner:
+            sizes: Tuple[int, ...]
+            sigma: Optional[float]
+
+        @dataclass(frozen=True)
+        class Point:
+            name: str
+            inner: Inner
+            scale: float
+            count: int
+
+        point = Point(name="p", inner=Inner(sizes=(1, 2), sigma=None),
+                      scale=np.float64(0.5), count=3)
+        assert task_identity(point) == self._asdict_identity(point)
+        flat = Point(name="p", inner=None, scale=0.5, count=3)
+        assert task_identity(flat) == self._asdict_identity(flat)
+
+
+class TestIdentityPasses:
+    """A sharded sweep derives each grid identity once per call."""
+
+    @staticmethod
+    def _count_identities(monkeypatch):
+        calls = []
+        original = shard.task_identity
+
+        def counting(point, **kwargs):
+            calls.append(point)
+            return original(point, **kwargs)
+
+        monkeypatch.setattr(shard, "task_identity", counting)
+        return calls
+
+    def test_each_call_computes_the_grid_identities_once(
+            self, tmp_path, monkeypatch):
+        grid = _small_grid()
+        root = str(tmp_path / "sweep")
+        calls = self._count_identities(monkeypatch)
+        cold = run_sharded_sweep(grid, root, partitions=2)
+        assert len(calls) == len(grid.points())
+
+        del calls[:]
+        again = run_sharded_sweep(grid, root, partitions=2)
+        assert len(calls) == len(grid.points())
+
+        del calls[:]
+        aggregated = aggregate_sweep(root, grid)
+        assert len(calls) == len(grid.points())
+        for result in (again, aggregated):
+            for got, want in zip(result.records, cold.records):
+                assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_mismatched_identities_raise(self, tmp_path):
+        grid = _small_grid()
+        extended = _small_grid(crossbar_sizes=(64, 128))
+        root = str(tmp_path / "sweep")
+        run_sharded_sweep(extended, root, partitions=2)
+        with pytest.raises(ValueError,
+                           match="identified has 6 points but the grid has 12"):
+            aggregate_sweep(root, extended,
+                            identified=identified_points(grid))
+        result = aggregate_sweep(root, extended,
+                                 identified=identified_points(extended))
+        assert len(result.records) == len(extended.points())
 
 
 class TestSweepResultBest:

@@ -81,6 +81,40 @@ class TestRng:
     def test_derive_seed_depends_on_salt(self):
         assert derive_seed(0, "alpha") != derive_seed(0, "beta")
 
+    #: salts of the regression table: plain words, the empty salt, an
+    #: engine flip salt and the two sweep-point salts test_sweep.py pins
+    DERIVE_SALTS = ("alpha", "beta", "", "flip/64",
+                    "MLP-S/baseline_epcm/128/1/0.05",
+                    "MLP-S/einsteinbarrier/128/4/0.05", "0/3")
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, [1826703136, 1826702626, 1826701614, 1826703098, 1826701207,
+             1826740036, 1826701321]),
+        (21, [647279158, 647278644, 647279672, 647279596, 647285377,
+              647242322, 647279903]),
+        (np.int64(21), [647279158, 647278644, 647279672, 647279596,
+                        647285377, 647242322, 647279903]),
+        (None, [1622232188, 1622232702, 1622231666, 1622232486, 1622226123,
+                1622268952, 1622231893]),
+    ])
+    def test_derive_seed_values_are_pinned(self, seed, expected):
+        """Memoising the base draw must not move a single derived seed."""
+        for _ in range(2):  # cold and memoised draws agree
+            assert [derive_seed(seed, salt)
+                    for salt in self.DERIVE_SALTS] == expected
+
+    def test_derive_seed_advances_a_generator_seed(self):
+        """A Generator is drawn from on every call, never memoised."""
+        generator = np.random.default_rng(3)
+        assert [derive_seed(generator, "alpha") for _ in range(2)] == \
+            [1742694261, 183929671]
+        assert [derive_seed(generator, "beta") for _ in range(2)] == \
+            [385347062, 508545678]
+
+    def test_derive_seed_rejects_invalid_seed_types(self):
+        with pytest.raises(TypeError):
+            derive_seed("seed", "alpha")
+
 
 class TestValidation:
     def test_check_positive(self):
