@@ -285,8 +285,9 @@ class InferenceEngine:
         statistics and weights are snapshot at construction — call
         :meth:`refresh` after mutating them.
     kernel:
-        Matmul kernel for the fused steps: ``"auto"`` (size heuristic),
-        ``"blas"`` or ``"packed"``.
+        Matmul kernel for the fused steps: ``"auto"`` (the row-count rule
+        of :func:`~repro.bnn.xnor_ops.choose_matmul_kernel`), ``"blas"`` or
+        ``"packed"``.
     flip_rate:
         Per-popcount bit-flip probability modelling noisy crossbar reads —
         a single float applied to every binary layer, or a callable mapping

@@ -15,11 +15,12 @@ The batched operations come in three interchangeable kernels, selectable via
 the ``kernel`` argument of :func:`binary_matmul` / :func:`binary_conv2d`:
 
 * ``"blas"`` — one float64 matrix product over the bipolar operands.  Exact
-  (the accumulators stay far below 2**53) and the fastest on CPU.
+  (the accumulators stay far below 2**53).
 * ``"packed"`` — the bit-parallel path: operands are packed 8 bits per byte
-  with :func:`numpy.packbits` and mismatches are counted through a 256-entry
-  popcount look-up table, mirroring how a digital XNOR+Popcount engine (or
-  the crossbar read-out) works on words rather than scalars.  Uses 8x less
+  with :func:`numpy.packbits`, each row zero-padded to whole 64-bit words,
+  and mismatches are counted with :func:`numpy.bitwise_count` over the
+  XORed ``uint64`` words — how a digital XNOR+Popcount engine (or the
+  crossbar read-out) works on words rather than scalars.  Uses 8x less
   memory per operand than the unpacked encodings.
 * ``"reference"`` — the original unipolar match-counting implementation
   (:func:`binary_matmul_reference`, retained verbatim, as is
@@ -28,12 +29,13 @@ the ``kernel`` argument of :func:`binary_matmul` / :func:`binary_conv2d`:
   scalar-engine speedup baseline — it is not the implementation this
   module's fast paths replaced.
 
-The default ``"auto"`` dispatches through :func:`choose_matmul_kernel`, a
-measured size heuristic: the BLAS kernel wins on every non-trivial operand
-size on CPU, so ``auto`` selects ``"packed"`` only for tiny products where
-the two are within measurement noise and the packed operands' 8x smaller
-workspace is worth having.  Sweeps that model the packed hardware datapath
-can still opt into ``"packed"`` explicitly at any size.
+The default ``"auto"`` of the 2-D kernels is ``"blas"``.  The fused
+inference kernels below dispatch ``"auto"`` through
+:func:`choose_matmul_kernel`, a static row-count rule: products over a
+handful of activation rows (serving flushes) are bound by reading the
+weights and run on the packed words, larger ones (offline batches, conv
+patch matrices) on float32 BLAS.  Sweeps that model the packed hardware
+datapath can still opt into ``"packed"`` explicitly at any size.
 
 Beyond the 2-D matmul kernels this module also provides the *batched packed
 inference* primitives used by :class:`repro.bnn.model.InferenceEngine`:
@@ -63,17 +65,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.bnn.autotune import CONV_BLOCK_BYTES, DISPATCH_MACS
+from repro.bnn.autotune import CONV_BLOCK_BYTES, PACKED_MAX_ROWS
 from repro.bnn.binarize import to_unipolar
 from repro.utils.validation import check_binary, check_bipolar
 
-#: number of set bits for every uint8 value — the popcount LUT of the packed
-#: kernel (equivalent to an 8-bit hardware popcount unit)
-_POPCOUNT_LUT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
-#: row-block size used when materialising XOR intermediates in the packed
-#: kernel, keeping the (block x outputs x bytes) workspace cache-resident
-_PACKED_BLOCK_ROWS = 512
+#: byte budget of the (rows x outputs x words) uint64 XOR workspace the
+#: packed kernel materialises per row block, keeping it cache-resident
+_PACKED_BLOCK_BYTES = 1 << 20
 
 
 def xnor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,39 +165,72 @@ def pack_bipolar(bipolar: np.ndarray) -> tuple[np.ndarray, int]:
     return np.packbits(bits, axis=-1), bits.shape[-1]
 
 
+def _word_width(nbytes: int) -> int:
+    """Bytes in ``nbytes`` rounded up to whole 8-byte words."""
+    return -(-nbytes // 8) * 8
+
+
+def _pad_to_words(packed: np.ndarray) -> np.ndarray:
+    """Zero-pad (rows, nbytes) packed rows to a whole number of 8-byte words.
+
+    Returns a C-contiguous uint8 array whose rows view as ``uint64``;
+    already word-padded contiguous rows come back unchanged (no copy).
+    """
+    rows, nbytes = packed.shape
+    width = _word_width(nbytes)
+    if width == nbytes:
+        return np.ascontiguousarray(packed, dtype=np.uint8)
+    padded = np.zeros((rows, width), dtype=np.uint8)
+    padded[:, :nbytes] = packed
+    return padded
+
+
 def packed_mismatches(a_packed: np.ndarray, b_packed: np.ndarray) -> np.ndarray:
     """Pairwise Hamming distances between packed bit rows.
 
-    ``a_packed`` is ``(n, nbytes)`` and ``b_packed`` is ``(m, nbytes)``; the
-    result is the ``(n, m)`` int64 matrix of set bits in ``a XOR b``.
+    ``a_packed`` is ``(n, nbytes)`` and ``b_packed`` is ``(m, nbytes)``
+    uint8; the result is the ``(n, m)`` int64 matrix of set bits in
+    ``a XOR b``.  Rows are zero-padded to whole 8-byte words (a no-op for
+    rows stored word-padded, as :class:`PackedWeights` are), XORed as
+    ``uint64`` words and counted with :func:`numpy.bitwise_count`, one
+    cache-sized block of ``a`` rows at a time.
 
     Precondition: both operands must be packed from the *same* original bit
     length (as :func:`binary_matmul_packed` guarantees).  Only then does the
-    zero padding added by :func:`numpy.packbits` line up and cancel in the
-    XOR; equal byte widths alone cannot prove equal bit lengths, so rows
-    packed from different lengths produce silently inflated distances.
+    zero padding added by :func:`numpy.packbits` and by the word padding
+    line up and cancel in the XOR; equal widths alone cannot prove equal bit
+    lengths, so rows packed from different lengths produce silently
+    inflated distances.
     """
     if a_packed.ndim != 2 or b_packed.ndim != 2:
         raise ValueError("packed operands must be 2-D")
-    if a_packed.shape[1] != b_packed.shape[1]:
+    if _word_width(a_packed.shape[1]) != _word_width(b_packed.shape[1]):
         raise ValueError(
             f"packed width mismatch: {a_packed.shape[1]} vs {b_packed.shape[1]}"
         )
-    n = a_packed.shape[0]
-    out = np.empty((n, b_packed.shape[0]), dtype=np.int64)
-    for start in range(0, n, _PACKED_BLOCK_ROWS):
-        stop = min(start + _PACKED_BLOCK_ROWS, n)
-        xor = a_packed[start:stop, None, :] ^ b_packed[None, :, :]
-        out[start:stop] = _POPCOUNT_LUT[xor].sum(axis=-1, dtype=np.int64)
+    a_words = _pad_to_words(a_packed).view(np.uint64)
+    b_words = _pad_to_words(b_packed).view(np.uint64)
+    n, m = a_words.shape[0], b_words.shape[0]
+    out = np.empty((n, m), dtype=np.int64)
+    # the per-word counts sum faster in uint16 whenever no row can overflow it
+    max_count = 64 * b_words.shape[1]
+    sum_dtype = np.uint16 if max_count <= np.iinfo(np.uint16).max else np.int64
+    block_rows = max(1, _PACKED_BLOCK_BYTES // max(1, b_words.nbytes))
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        xor = a_words[start:stop, None, :] ^ b_words[None, :, :]
+        out[start:stop] = np.bitwise_count(xor).sum(axis=-1, dtype=sum_dtype)
     return out
 
 
 def binary_matmul_packed(inputs_bipolar: np.ndarray,
                          weights_bipolar: np.ndarray) -> np.ndarray:
-    """Bipolar matrix product on bit-packed operands (packbits + LUT).
+    """Bipolar matrix product on bit-packed operands (packbits + word popcount).
 
-    With ``d`` mismatching bits out of ``L``, the bipolar dot product is
-    ``L - 2 d`` — the XOR-domain restatement of Eq. 1.
+    Both operands are packed with :func:`numpy.packbits` and compared by
+    :func:`packed_mismatches`.  With ``d`` mismatching bits out of ``L``,
+    the bipolar dot product is ``L - 2 d`` — the XOR-domain restatement of
+    Eq. 1.
     """
     in_bits, w_bits = _check_matmul_operands(inputs_bipolar, weights_bipolar)
     length = in_bits.shape[1]
@@ -448,21 +479,20 @@ def binary_conv2d(images_bipolar: np.ndarray, kernels_bipolar: np.ndarray,
 # --------------------------------------------------------------------------- #
 
 def choose_matmul_kernel(num_rows: int, num_outputs: int, length: int) -> str:
-    """Auto-select the matmul kernel from the operand sizes.
+    """Auto-select the fused kernel from the operand sizes.
 
-    Returns ``"blas"`` or ``"packed"``.  The decision is a measured size
-    heuristic, not a model: one float32 BLAS product beats the byte-wise
-    XOR+LUT popcount on this class of CPU for every operand above a few
-    thousand MACs, so only tiny products (where both kernels cost single
-    microseconds and the packed path needs 8x less workspace) dispatch to
-    the packed kernel.  The boundary is the static
-    :data:`repro.bnn.autotune.DISPATCH_MACS`; both kernels are
-    bit-identical, so the boundary only ever affects speed.
+    Returns ``"packed"`` iff ``num_rows`` is at most the static
+    :data:`repro.bnn.autotune.PACKED_MAX_ROWS`, else ``"blas"``.  A
+    product over a few rows (a serving flush) is bound by reading the
+    weights, and the packed uint64 words are 32x smaller than the float32
+    rows BLAS reads; over many rows (offline batches, conv patch matrices)
+    BLAS's arithmetic rate wins.  ``num_outputs`` and ``length`` are
+    validated but do not move the boundary.  Both kernels are
+    bit-identical, so the rule only ever affects speed.
     """
     if num_rows < 0 or num_outputs < 0 or length < 0:
         raise ValueError("operand sizes must be non-negative")
-    macs = num_rows * num_outputs * length
-    return "packed" if macs <= DISPATCH_MACS else "blas"
+    return "packed" if num_rows <= PACKED_MAX_ROWS else "blas"
 
 
 def _packed_width(bits: int) -> int:
@@ -575,9 +605,11 @@ class PackedWeights:
 
     ``f32`` carries the bipolar rows as float32 (the BLAS operand; exact
     because every accumulator is an integer far below 2**24) and ``packed``
-    the same rows bit-packed (the XOR+popcount operand).  For convolutions
-    the rows are laid out in channel-last ``(k, k, C)`` order with the
-    per-position byte padding matching :class:`PackedTensor` windows, and
+    the same rows bit-packed (the XOR+popcount operand), zero-padded once
+    to a whole number of 8-byte words so :func:`packed_mismatches` views
+    them as ``uint64`` without a per-call copy.  For convolutions the rows
+    are laid out in channel-last ``(k, k, C)`` order with the per-position
+    byte padding matching :class:`PackedTensor` windows, and
     ``bit_length`` is the *logical* vector length ``C * k * k``.
     """
 
@@ -599,7 +631,7 @@ def pack_linear_weights(weights_bipolar: np.ndarray) -> PackedWeights:
     bits = to_unipolar(weights)
     return PackedWeights(
         f32=weights.astype(np.float32),
-        packed=np.packbits(bits, axis=-1),
+        packed=_pad_to_words(np.packbits(bits, axis=-1)),
         bit_length=weights.shape[1],
     )
 
@@ -621,7 +653,7 @@ def pack_conv_weights(kernels_bipolar: np.ndarray) -> PackedWeights:
     packed = np.packbits(bits, axis=-1).reshape(out_channels, -1)
     return PackedWeights(
         f32=channel_last.reshape(out_channels, -1).astype(np.float32),
-        packed=packed,
+        packed=_pad_to_words(packed),
         bit_length=in_channels * k_h * k_w,
     )
 
@@ -837,12 +869,11 @@ def fused_conv2d_sign(x: PackedTensor, weights: PackedWeights,
             data, (kernel_size, kernel_size), axis=(1, 2)
         )[:, ::stride, ::stride]
         # (B, OH, OW, nbytes, k, k) -> (k, k, nbytes) byte rows, matching the
-        # per-position padding of pack_conv_weights so padding bits cancel;
-        # the row width is spelled out (not -1) so zero-row batches
-        # reshape unambiguously
+        # per-position padding of pack_conv_weights so padding bits cancel
+        # (packed_mismatches word-pads the rows); the row width is spelled
+        # out (not -1) so zero-row batches reshape unambiguously
         patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
             num_rows, kernel_size * kernel_size * data.shape[-1])
-        patches = np.ascontiguousarray(patches)
         acc = _packed_accumulate(None, patches, weights, "packed")
     else:
         raise ValueError(f"unknown fused kernel {kernel!r}; choose 'auto', "

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bnn import xnor_ops
 from repro.bnn.layers import MaxPool2d
 from repro.bnn.xnor_ops import (
     binary_conv2d,
@@ -108,15 +109,43 @@ def test_pack_bipolar_pads_to_whole_bytes():
     assert packed[0, 0] == 0b10100000
 
 
-def test_packed_mismatches_is_hamming_distance():
+#: rows of ``a`` that span several XOR workspace blocks against 300 rows
+#: of 1000 bits (16 words each)
+_MULTI_BLOCK_ROWS = 2 * (xnor_ops._PACKED_BLOCK_BYTES // (300 * 16 * 8)) + 3
+
+
+@pytest.mark.parametrize("rows,cols,bits", [
+    # byte widths that are and are not whole 8-byte words
+    *((5, 4, bits) for bits in (1, 7, 8, 9, 37, 63, 64, 65, 500, 1000,
+                                1500, 2000)),
+    (0, 4, 37), (5, 0, 37), (0, 0, 2000),
+    (_MULTI_BLOCK_ROWS, 300, 1000),
+])
+def test_packed_mismatches_is_hamming_distance(rows, cols, bits):
     rng = np.random.default_rng(7)
-    a = _random_bipolar(rng, (5, 37))
-    b = _random_bipolar(rng, (4, 37))
+    a = _random_bipolar(rng, (rows, bits))
+    b = _random_bipolar(rng, (cols, bits))
     a_packed, _ = pack_bipolar(a)
     b_packed, _ = pack_bipolar(b)
     distances = packed_mismatches(a_packed, b_packed)
     expected = (a[:, None, :] != b[None, :, :]).sum(axis=-1)
+    assert distances.dtype == np.int64
     assert np.array_equal(distances, expected)
+
+
+def test_packed_mismatches_counts_past_the_uint16_range():
+    # every bit differs, so each distance is the full length
+    bits = 70_000
+    a_packed, _ = pack_bipolar(np.ones((2, bits), dtype=np.int8))
+    b_packed, _ = pack_bipolar(-np.ones((3, bits), dtype=np.int8))
+    assert np.array_equal(packed_mismatches(a_packed, b_packed),
+                          np.full((2, 3), bits))
+
+
+def test_packed_mismatches_rejects_unequal_word_widths():
+    with pytest.raises(ValueError, match="width mismatch"):
+        packed_mismatches(np.zeros((2, 8), dtype=np.uint8),
+                          np.zeros((2, 9), dtype=np.uint8))
 
 
 def test_kernels_agree_on_empty_batch():

@@ -31,9 +31,12 @@ from repro.bnn.xnor_ops import (
     SIGN_GE,
     SIGN_LE,
     SignSpec,
+    binary_conv2d,
     binary_matmul,
     choose_matmul_kernel,
+    fused_conv2d_sign,
     fused_matmul_sign,
+    pack_conv_weights,
     pack_linear_weights,
     packed_flatten,
     packed_maxpool2d,
@@ -43,6 +46,18 @@ from repro.utils.rng import make_rng
 
 def _random_bipolar(rng, shape):
     return np.where(rng.random(shape) < 0.5, -1, 1).astype(np.int8)
+
+
+def _mixed_sign_spec(rng: np.random.Generator, channels: int,
+                     spread: int) -> SignSpec:
+    """A folded-batch-norm rule mixing every comparison mode."""
+    mode = rng.choice([SIGN_GE, SIGN_LE, SIGN_CONST], size=channels)
+    mode[:3] = (SIGN_GE, SIGN_LE, SIGN_CONST)[:channels]
+    return SignSpec(
+        mode=mode.astype(np.int8),
+        threshold=rng.integers(-spread, spread + 1, size=channels),
+        constant=rng.integers(0, 2, size=channels).astype(np.uint8),
+    )
 
 
 def _randomise_batchnorm(bn: BatchNorm, rng: np.random.Generator) -> None:
@@ -119,6 +134,61 @@ class TestFusedKernels:
             assert np.array_equal(
                 signed.to_bipolar(), np.where(reference >= 0, 1, -1)
             ), kernel
+
+    @pytest.mark.parametrize("length,outputs",
+                             [(2000, 1500), (1500, 1000), (1000, 500)])
+    def test_packed_matches_blas_on_mlp_l_layers(self, length, outputs):
+        # MLP-L's binary layers at every serving flush size, on both sides
+        # of the row-count dispatch boundary
+        rng = make_rng(length)
+        weights = pack_linear_weights(_random_bipolar(rng, (outputs, length)))
+        assert weights.packed.shape[1] % 8 == 0
+        spec = _mixed_sign_spec(rng, outputs, spread=60)
+        for rows in range(1, 33):
+            x = PackedTensor.from_bipolar(_random_bipolar(rng, (rows, length)))
+            acc = fused_matmul_sign(x, weights, kernel="packed")
+            assert np.array_equal(
+                acc, fused_matmul_sign(x, weights, kernel="blas")), rows
+            assert np.array_equal(
+                acc, binary_matmul(x.to_bipolar(), weights.f32)), rows
+            for flip_rate in (0.0, 0.05):
+                outs = [fused_matmul_sign(x, weights, spec, kernel=kernel,
+                                          flip_rate=flip_rate,
+                                          rng=make_rng(rows))
+                        for kernel in ("packed", "blas", "auto")]
+                for out in outs[1:]:
+                    assert np.array_equal(out.data, outs[0].data), rows
+
+    @pytest.mark.parametrize("channels,kernel_size,stride,padding", [
+        (5, 3, 1, 1),    # 3 * 3 * 1 = 9 bytes per patch row
+        (20, 3, 2, 1),   # 3 * 3 * 3 = 27 bytes
+        (13, 2, 1, 0),   # 2 * 2 * 2 = 8 bytes, exactly one word
+        (70, 1, 1, 0),   # 1 * 1 * 9 = 9 bytes
+    ])
+    def test_packed_conv_matches_blas(self, channels, kernel_size, stride,
+                                      padding):
+        rng = make_rng(channels)
+        kernels = _random_bipolar(rng, (7, channels, kernel_size, kernel_size))
+        weights = pack_conv_weights(kernels)
+        assert weights.packed.shape[1] % 8 == 0
+        images = _random_bipolar(rng, (3, channels, 6, 6))
+        x = PackedTensor.from_bipolar(images)
+        acc = fused_conv2d_sign(x, weights, kernel_size, stride=stride,
+                                padding=padding, kernel="packed")
+        assert np.array_equal(acc, fused_conv2d_sign(
+            x, weights, kernel_size, stride=stride, padding=padding,
+            kernel="blas"))
+        assert np.array_equal(acc, binary_conv2d(
+            images, kernels, stride=stride, padding=padding))
+        spec = _mixed_sign_spec(rng, 7, spread=kernel_size * 4)
+        for flip_rate in (0.0, 0.05):
+            packed, blas = (
+                fused_conv2d_sign(x, weights, kernel_size, spec,
+                                  stride=stride, padding=padding,
+                                  kernel=kernel, flip_rate=flip_rate,
+                                  rng=make_rng(1))
+                for kernel in ("packed", "blas"))
+            assert np.array_equal(packed.data, blas.data)
 
     def test_operand_mismatch_rejected(self):
         x = PackedTensor.from_bipolar(np.ones((2, 9), dtype=np.int8))

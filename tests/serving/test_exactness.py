@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bnn.autotune import PACKED_MAX_ROWS
 from repro.bnn.model import InferenceEngine
 from repro.bnn.networks import build_network
 from repro.serving import InferenceService
@@ -146,3 +147,26 @@ def test_concurrent_producers_replay_exactly(engine):
         replay = engine.forward_batch(stack, batch_size=record.size)
         for row, rid in enumerate(record.request_ids):
             np.testing.assert_array_equal(id_to_result[rid], replay[row])
+
+
+def test_flushes_across_the_dispatch_boundary_match_the_blas_engine(model):
+    """Whichever kernel the row-count rule picks for a flush, the served
+    rows are byte-identical to the all-BLAS engine on the same stack."""
+    engine = InferenceEngine(model)
+    blas_engine = InferenceEngine(model, kernel="blas")
+    sizes = range(1, PACKED_MAX_ROWS + 3)
+    images = make_rng(5).uniform(
+        -1.0, 1.0, size=(sum(sizes), *model.input_shape))
+    start = 0
+    for size in sizes:
+        stack = images[start:start + size]
+        start += size
+        # a size-triggered flush: the deadline is far beyond the test
+        with InferenceService(engine, max_batch=size,
+                              max_delay_ms=60_000.0) as service:
+            results, _ = _serve(service, stack)
+        assert [record.size for record in service.batcher.flush_log()] \
+            == [size]
+        expected = blas_engine.forward_batch(stack, batch_size=size)
+        for row, result in enumerate(results):
+            assert result.tobytes() == expected[row].tobytes(), (size, row)
