@@ -197,6 +197,9 @@ class EinsteinBarrierSystem:
         nodes_required = math.ceil(vcores_required / node.num_vcores) if vcores_required else 0
         cells = sum(s.cells_programmed for s in schedule.layer_schedules)
         vcore = VCore(0, self.config)
+        ecores_required = math.ceil(
+            vcores_required / max(self.config.vcores_per_ecore, 1)
+        )
         return AllocationReport(
             design_name=self.config.name,
             network_name=workload.name,
@@ -206,9 +209,7 @@ class EinsteinBarrierSystem:
             crossbar_cells_required=cells,
             per_layer_vcores=per_layer,
             static_optical_power=(
-                ECore(0, self.config).static_power
-                * math.ceil(vcores_required / max(self.config.vcores_per_ecore, 1))
-                / max(self.config.vcores_per_ecore, 1)
+                ecores_required * ECore(0, self.config).static_power
                 if self.config.technology == "opcm" else 0.0
             ),
             crossbar_area_mm2=vcores_required * vcore.area_mm2,

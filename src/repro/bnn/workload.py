@@ -16,13 +16,22 @@ of :class:`LayerSpec` records in the paper's vocabulary:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
-from repro.bnn.layers import BinaryConv2d, BinaryLinear, Conv2d, Layer, Linear
+from repro.bnn.layers import (
+    BinaryConv2d,
+    BinaryLinear,
+    Conv2d,
+    Flatten,
+    Layer,
+    Linear,
+    MaxPool2d,
+)
 from repro.bnn.model import BNNModel
-from repro.bnn.networks import build_network, dataset_for_network
+from repro.bnn.networks import dataset_for_network, network_shape
 
 
 @dataclass(frozen=True)
@@ -117,11 +126,37 @@ class NetworkWorkload:
         return self.binary_macs / total if total else 0.0
 
 
-def _conv_output_hw(layer, input_shape: Tuple[int, ...]) -> Tuple[int, int]:
+def _conv_output_hw(kernel_size: int, stride: int, padding: int,
+                    input_shape: Tuple[int, ...]) -> Tuple[int, int]:
     _, height, width = input_shape
-    out_h = (height + 2 * layer.padding - layer.kernel_size) // layer.stride + 1
-    out_w = (width + 2 * layer.padding - layer.kernel_size) // layer.stride + 1
+    out_h = (height + 2 * padding - kernel_size) // stride + 1
+    out_w = (width + 2 * padding - kernel_size) // stride + 1
     return out_h, out_w
+
+
+def _linear_spec(label: str, is_binary: bool, in_features: int,
+                 out_features: int) -> LayerSpec:
+    return LayerSpec(
+        name=label,
+        kind="linear",
+        is_binary=is_binary,
+        vector_length=in_features,
+        num_weight_vectors=out_features,
+        num_input_vectors=1,
+    )
+
+
+def _conv_spec(label: str, is_binary: bool, in_channels: int,
+               out_channels: int, kernel_size: int,
+               out_hw: Tuple[int, int]) -> LayerSpec:
+    return LayerSpec(
+        name=label,
+        kind="conv",
+        is_binary=is_binary,
+        vector_length=in_channels * kernel_size * kernel_size,
+        num_weight_vectors=out_channels,
+        num_input_vectors=out_hw[0] * out_hw[1],
+    )
 
 
 def extract_workload(model: BNNModel) -> NetworkWorkload:
@@ -154,35 +189,52 @@ def extract_workload(model: BNNModel) -> NetworkWorkload:
 def get_workload(network_name: str) -> NetworkWorkload:
     """Memoised workload of one of the named evaluation networks.
 
-    Building a network instantiates every weight tensor only to read off the
-    layer dimensions; the resulting :class:`NetworkWorkload` is immutable and
-    identical on every call, so figure regeneration and design-space sweeps
-    share one extraction per network instead of rebuilding the model per
-    design per figure.  Use :func:`extract_workload` directly for ad-hoc
-    models.
+    The layer specs are derived from the network's shape table
+    (:data:`repro.bnn.networks.NETWORK_TABLE`) by shape arithmetic, so no
+    weight tensor is allocated; the result equals
+    ``extract_workload(build_network(network_name))``.  The
+    :class:`NetworkWorkload` is immutable, so figure regeneration and
+    design-space sweeps share one instance per network.  Use
+    :func:`extract_workload` for ad-hoc models.
     """
-    return extract_workload(build_network(network_name))
+    table = network_shape(network_name)
+    specs: List[LayerSpec] = []
+    shape = table.input_shape
+    for index, row in enumerate(table.layers):
+        label = f"layer{index:02d}:{row.kind.__name__}"
+        if row.kind in (Linear, BinaryLinear):
+            in_features, out_features = row.sizes
+            specs.append(_linear_spec(label, row.kind.is_binary,
+                                      in_features, out_features))
+            shape = (out_features,)
+        elif row.kind in (Conv2d, BinaryConv2d):
+            in_channels, out_channels, kernel_size = row.sizes
+            out_hw = _conv_output_hw(kernel_size, 1, row.padding, shape)
+            specs.append(_conv_spec(label, row.kind.is_binary, in_channels,
+                                    out_channels, kernel_size, out_hw))
+            shape = (out_channels, *out_hw)
+        elif row.kind is MaxPool2d:
+            (kernel_size,) = row.sizes
+            shape = (shape[0], *_conv_output_hw(kernel_size, kernel_size, 0,
+                                                shape))
+        elif row.kind is Flatten:
+            shape = (math.prod(shape),)
+    return NetworkWorkload(
+        name=table.name,
+        dataset=table.dataset,
+        input_shape=table.input_shape,
+        layers=tuple(specs),
+    )
 
 
 def _layer_spec(layer: Layer, in_shape: Tuple[int, ...], index: int) -> LayerSpec | None:
     label = f"layer{index:02d}:{type(layer).__name__}"
     if isinstance(layer, (Linear, BinaryLinear)):
-        return LayerSpec(
-            name=label,
-            kind="linear",
-            is_binary=layer.is_binary,
-            vector_length=layer.in_features,
-            num_weight_vectors=layer.out_features,
-            num_input_vectors=1,
-        )
+        return _linear_spec(label, layer.is_binary, layer.in_features,
+                            layer.out_features)
     if isinstance(layer, (Conv2d, BinaryConv2d)):
-        out_h, out_w = _conv_output_hw(layer, in_shape)
-        return LayerSpec(
-            name=label,
-            kind="conv",
-            is_binary=layer.is_binary,
-            vector_length=layer.in_channels * layer.kernel_size * layer.kernel_size,
-            num_weight_vectors=layer.out_channels,
-            num_input_vectors=out_h * out_w,
-        )
+        out_hw = _conv_output_hw(layer.kernel_size, layer.stride,
+                                 layer.padding, in_shape)
+        return _conv_spec(label, layer.is_binary, layer.in_channels,
+                          layer.out_channels, layer.kernel_size, out_hw)
     return None

@@ -14,11 +14,17 @@ This module provides that as a small subsystem:
   (serial / thread / process / queue), ``workers=`` keeps the historical
   ``multiprocessing`` semantics, and the ``REPRO_RUNTIME_BACKEND``
   environment variable can force a backend fleet-wide (CI uses it to run
-  the tier-1 suite over the process backend).  Workloads, accelerator
-  models and inference reports are memoised
-  (`repro.bnn.workload.get_workload`, the model/report caches here, and the
-  layer-schedule cache in :mod:`repro.core.schedule`), so repeated
-  structure across the grid is built exactly once per process.
+  the tier-1 suite over the process backend).  Repeated structure across
+  the grid is built once per process, in these caches:
+
+  - workloads: :func:`repro.bnn.workload.get_workload`, derived from the
+    networks' shape table without allocating weights;
+  - accelerator models: one per design configuration, hierarchy sizing
+    included;
+  - costs: the compiled program, latency and energy of one network on one
+    design configuration, shared by every hierarchy sizing;
+  - reports: a cost plus the hierarchy allocation of one grid point;
+  - layer schedules: :mod:`repro.core.schedule`.
 * :class:`SweepRecord` / :class:`SweepResult` — structured results with a
   JSON-ready payload (:meth:`SweepResult.to_payload`,
   :func:`write_sweep_json`) consumed by the benchmarks and CI artifacts.
@@ -53,7 +59,7 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -102,14 +108,20 @@ Hierarchy = Tuple[Optional[int], Optional[int], Optional[int]]
 _DEFAULT_HIERARCHY: Hierarchy = (None, None, None)
 
 _ModelKey = Tuple[str, int, int, Optional[int], Hierarchy]
+#: a model key without its hierarchy component
+_CostKey = Tuple[str, int, int, Optional[int]]
 _MODEL_CACHE: Dict[_ModelKey, AcceleratorModel] = {}
+#: (cost key, network) -> a report whose program, latency and energy hold
+#: for every hierarchy sizing
+_COST_CACHE: Dict[Tuple[_CostKey, str], InferenceReport] = {}
 _REPORT_CACHE: Dict[Tuple[_ModelKey, str], InferenceReport] = {}
 _TRAINED_CACHE: Dict[Tuple[str, int, int], BNNModel] = {}
 
 
 def clear_sweep_caches() -> None:
-    """Empty the per-process model, inference-report and trained-net caches."""
+    """Empty the per-process model, cost, report and trained-net caches."""
     _MODEL_CACHE.clear()
+    _COST_CACHE.clear()
     _REPORT_CACHE.clear()
     _TRAINED_CACHE.clear()
 
@@ -181,8 +193,18 @@ def get_accelerator_model(design: str, *, crossbar_size: int = 256,
 def _cached_report(design: str, crossbar_size: int, wdm_capacity: int,
                    columns_per_adc: Optional[int], hierarchy: Hierarchy,
                    network: str) -> InferenceReport:
-    key = (_model_key(design, crossbar_size, wdm_capacity, columns_per_adc,
-                      hierarchy), network)
+    """One grid point's report, computing each cost once per process.
+
+    The compiler and the latency and energy models read the design, the
+    crossbar size, the WDM capacity and the ADC sharing, but never the
+    hierarchy sizing (``vcores_per_ecore``, ``ecores_per_tile``,
+    ``tiles_per_node``): those only decide how many ECores, Tiles and Nodes
+    the allocation provisions.  So the cost is cached without the
+    hierarchy, and each hierarchy sizing adds just its own allocation.
+    """
+    model_key = _model_key(design, crossbar_size, wdm_capacity,
+                           columns_per_adc, hierarchy)
+    key = (model_key, network)
     report = _REPORT_CACHE.get(key)
     if report is None:
         model = get_accelerator_model(
@@ -192,7 +214,13 @@ def _cached_report(design: str, crossbar_size: int, wdm_capacity: int,
             ecores_per_tile=hierarchy[1],
             tiles_per_node=hierarchy[2],
         )
-        report = model.run_inference(get_workload(network))
+        workload = get_workload(network)
+        cost_key = (model_key[:-1], network)
+        cost = _COST_CACHE.get(cost_key)
+        if cost is None:
+            report = _COST_CACHE[cost_key] = model.run_inference(workload)
+        else:
+            report = replace(cost, allocation=model.allocate(workload))
         _REPORT_CACHE[key] = report
     return report
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.arch.accelerator import AcceleratorModel
@@ -15,6 +17,7 @@ from repro.arch.hierarchy import ECore, EinsteinBarrierSystem, Node, Tile, VCore
 from repro.arch.timing import LatencyModel
 from repro.bnn.networks import build_network, list_networks
 from repro.bnn.workload import extract_workload
+from repro.photonics.power import crossbar_receiver_power
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +179,26 @@ class TestHierarchy:
     def test_allocation_area_positive(self, workloads):
         system = EinsteinBarrierSystem(baseline_epcm_config())
         assert system.allocate(workloads["CNN-S"]).crossbar_area_mm2 > 0
+
+    @pytest.mark.parametrize("vcores_per_ecore", [1, 2, 8])
+    def test_static_optical_power_counts_each_ecore_once(self, workloads,
+                                                         vcores_per_ecore):
+        # CNN-L needs 400 VCores; every provisioned ECore draws its
+        # transmitter plus one receiver per VCore, once
+        config = einsteinbarrier_config(vcores_per_ecore=vcores_per_ecore)
+        report = EinsteinBarrierSystem(config).allocate(workloads["CNN-L"])
+        assert report.vcores_required == 400
+        ecores = math.ceil(400 / vcores_per_ecore)
+        per_ecore = (ECore(0, config).transmitter_power
+                     + vcores_per_ecore * crossbar_receiver_power(config.tile.cols))
+        assert report.static_optical_power == pytest.approx(ecores * per_ecore)
+        if vcores_per_ecore == 8:
+            assert report.static_optical_power == pytest.approx(1397.84, rel=1e-5)
+
+    def test_epcm_has_no_static_optical_power(self, workloads):
+        config = tacitmap_epcm_config(vcores_per_ecore=2)
+        report = EinsteinBarrierSystem(config).allocate(workloads["CNN-L"])
+        assert report.static_optical_power == 0.0
 
 
 class TestAcceleratorFacade:

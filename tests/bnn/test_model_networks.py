@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.bnn import layers
 from repro.bnn.layers import BinaryLinear, Linear, SignActivation
 from repro.bnn.model import BNNModel
 from repro.bnn.networks import (
@@ -12,7 +15,7 @@ from repro.bnn.networks import (
     dataset_for_network,
     list_networks,
 )
-from repro.bnn.workload import extract_workload
+from repro.bnn.workload import extract_workload, get_workload
 
 
 class TestBNNModel:
@@ -162,3 +165,64 @@ class TestWorkloadExtraction:
         workload = extract_workload(model)
         # first conv: 28x28 with padding 2, kernel 5 -> 28x28 windows
         assert workload.layers[0].num_input_vectors == 28 * 28
+
+
+def _parameter_digest(model: BNNModel) -> str:
+    """SHA-256 over every layer's class, scalar settings and arrays."""
+    digest = hashlib.sha256()
+    for index, layer in enumerate(model.layers):
+        digest.update(f"{index}:{type(layer).__name__}".encode())
+        state = dict(vars(layer),
+                     **{f"param.{k}": v for k, v in layer.params.items()})
+        for name in sorted(state):
+            value = state[name]
+            if isinstance(value, np.ndarray):
+                digest.update(f"{name}:{value.dtype.str}:{value.shape}".encode())
+                digest.update(value.tobytes())
+            elif isinstance(value, (bool, int, float)):
+                digest.update(f"{name}={value!r}".encode())
+    return digest.hexdigest()
+
+
+#: parameter digests of the six networks as built before the shape table
+#: existed, at the default seeds and at seed 11; they pin the weights the
+#: packed engine, the serving layer and their benchmarks run on
+PINNED_DIGESTS = {
+    (None, "CNN-S"): "80db3777be55bc12c85f9a465b6616fb9715c9e93c8c4467bc93e079ccf4a2ec",
+    (None, "CNN-M"): "7c77a666c3c1952609dd499028b84214283af2026e1a20e44e76274ada7255f9",
+    (None, "CNN-L"): "d3ff05b98dcc48aea209919d230dfb8c1d25c28db11165c69066ed0c8240f48d",
+    (None, "MLP-S"): "c112cc990ab96fac2279a8d202c96a512dce16f0149809bf5bfed88f9373789f",
+    (None, "MLP-M"): "a100da00fc5f0fb7c9f0c1c5789a71bcdab4607125a7d766ecdf984a0cfaa36f",
+    (None, "MLP-L"): "129e0e0f894ca7e27de4eb17779874ba4fb112a8410ba6bde395d97795e04d93",
+    (11, "CNN-S"): "02b526db3472a8c41932563336840d43b90c51ab3ba7ee3b3e57adb2eca20881",
+    (11, "CNN-M"): "4188a5aca6581fb69c46354e706ff117a6e10bfc475c3be20e2d2fe3441c1e65",
+    (11, "CNN-L"): "bad56c768befbd66e93455c8526d444eb4d7c975418b26450a84a1ac67a6d71a",
+    (11, "MLP-S"): "8bdfec0aa5410ab32752dc108b079e6b196994df1106077f4e46b3b4d81ee652",
+    (11, "MLP-M"): "acbde8910a1bf86994539a26878e22a98dc9bf7579212aae5318941350750fc9",
+    (11, "MLP-L"): "38f7e9e43b5cfcb90970b2b0c6cf33c40a944cf30329028aba9a4e9bc4843e30",
+}
+
+
+class TestShapeTable:
+    @pytest.mark.parametrize("name", list_networks())
+    def test_get_workload_equals_extraction(self, name):
+        assert get_workload(name) == extract_workload(build_network(name))
+
+    def test_get_workload_builds_no_weights(self, monkeypatch):
+        def no_weights(*args, **kwargs):
+            raise AssertionError("get_workload allocated a weight tensor")
+
+        monkeypatch.setattr(layers, "_kaiming_init", no_weights)
+        get_workload.cache_clear()
+        try:
+            for name in list_networks():
+                assert get_workload(name).name == name
+        finally:
+            get_workload.cache_clear()
+
+    @pytest.mark.parametrize("seed,name", sorted(
+        PINNED_DIGESTS, key=lambda key: (key[0] is not None, key[1])
+    ))
+    def test_weights_match_pinned_digests(self, seed, name):
+        model = build_network(name, seed=seed)
+        assert _parameter_digest(model) == PINNED_DIGESTS[(seed, name)]

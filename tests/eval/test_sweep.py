@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.arch import accelerator
+from repro.arch.accelerator import AcceleratorModel
+from repro.arch.config import baseline_epcm_config
+from repro.bnn.networks import build_network
+from repro.bnn.workload import extract_workload
 from repro.eval.sweep import (
+    DESIGN_FACTORIES,
     AccuracySweepGrid,
     SweepGrid,
     clear_sweep_caches,
@@ -492,11 +499,20 @@ class TestHierarchyAxes:
             assert smallest.node_utilisation >= default.node_utilisation
 
     def test_hierarchy_does_not_change_latency_or_energy(self, hierarchy_grid):
-        result = run_sweep(hierarchy_grid)
+        # fresh models per sizing, so the sweep's shared cost cache (which
+        # relies on this independence) cannot make the check vacuous
+        workload = extract_workload(build_network("MLP-S"))
         for design in ("tacitmap_epcm", "einsteinbarrier"):
-            picks = [r for r in result.records if r.design == design]
-            assert len({r.latency_s for r in picks}) == 1
-            assert len({r.energy_j for r in picks}) == 1
+            reports = [
+                AcceleratorModel(DESIGN_FACTORIES[design](
+                    crossbar_size=128, vcores_per_ecore=vpe,
+                    ecores_per_tile=ept, tiles_per_node=tpn,
+                )).run_inference(workload)
+                for vpe, ept, tpn in ((8, 8, 8), (2, 4, 1), (1, 2, 3))
+            ]
+            assert len({r.latency.total for r in reports}) == 1
+            assert len({r.energy.total for r in reports}) == 1
+            assert len({r.allocation.nodes_required for r in reports}) > 1
 
     def test_hierarchy_reaches_model_and_cache_distinguishes(self):
         clear_sweep_caches()
@@ -525,3 +541,84 @@ class TestHierarchyAxes:
     def test_invalid_hierarchy_axes_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SweepGrid(**kwargs)
+
+
+def _fresh_record(record, workloads):
+    """``record`` recomputed from fresh models, bypassing every sweep cache."""
+    kwargs = {"crossbar_size": record.crossbar_size}
+    if record.design != "baseline_epcm":
+        kwargs.update(columns_per_adc=record.columns_per_adc,
+                      vcores_per_ecore=record.vcores_per_ecore,
+                      ecores_per_tile=record.ecores_per_tile,
+                      tiles_per_node=record.tiles_per_node)
+    if record.design == "einsteinbarrier":
+        kwargs["wdm_capacity"] = record.wdm_capacity
+    workload = workloads[record.network]
+    report = AcceleratorModel(
+        DESIGN_FACTORIES[record.design](**kwargs)
+    ).run_inference(workload)
+    baseline = AcceleratorModel(
+        baseline_epcm_config(crossbar_size=record.crossbar_size)
+    ).run_inference(workload)
+    return replace(
+        record,
+        latency_s=report.latency.total,
+        energy_j=report.energy.total,
+        speedup_vs_baseline=baseline.latency.total / report.latency.total,
+        energy_ratio_vs_baseline=report.energy.total / baseline.energy.total,
+        vcores_required=report.allocation.vcores_required,
+        nodes_required=report.allocation.nodes_required,
+        node_utilisation=report.allocation.node_utilisation,
+    )
+
+
+class TestCostReuse:
+    @pytest.fixture()
+    def reuse_grid(self):
+        return SweepGrid(
+            networks=("MLP-S", "CNN-S"),
+            designs=tuple(DESIGN_FACTORIES),
+            crossbar_sizes=(128,),
+            wdm_capacities=(4, 16),
+            columns_per_adc=(None, 2),
+            vcores_per_ecore=(None, 2),
+            ecores_per_tile=(None, 4),
+            tiles_per_node=(None, 1),
+            seed=5,
+        )
+
+    def test_records_equal_fresh_models(self, reuse_grid):
+        clear_sweep_caches()
+        workloads = {name: extract_workload(build_network(name))
+                     for name in reuse_grid.networks}
+        records = run_sweep(reuse_grid).records
+        assert len({r.nodes_required for r in records}) > 1
+        for record in records:
+            assert record == _fresh_record(record, workloads)
+
+    def test_one_compile_per_hierarchy_free_key(self, reuse_grid,
+                                                monkeypatch):
+        compiled = []
+        real = accelerator.compile_network
+
+        def counting(workload, config):
+            compiled.append((workload.name, config))
+            return real(workload, config)
+
+        monkeypatch.setattr(accelerator, "compile_network", counting)
+        points = reuse_grid.points()
+        keys = {(p.network, p.design, p.crossbar_size, p.wdm_capacity,
+                 p.columns_per_adc) for p in points}
+        # 2 networks x (1 baseline + 2 ADC + 2 ADC x 2 WDM) cost keys
+        assert len(keys) == 14 < len(points)
+        # in-process, so the counter sees every compile whatever the
+        # environment's default backend
+        clear_sweep_caches()
+        first = run_sweep(reuse_grid, backend="serial").records
+        assert len(compiled) == len(keys)
+        run_sweep(reuse_grid, backend="serial")
+        assert len(compiled) == len(keys)
+        # a cleared cache compiles again, to the same records
+        clear_sweep_caches()
+        assert run_sweep(reuse_grid, backend="serial").records == first
+        assert len(compiled) == 2 * len(keys)
