@@ -65,14 +65,6 @@ class AcceleratorModel:
         """Compile a workload for this design."""
         return compile_network(workload, self.config)
 
-    def allocate(self, workload: NetworkWorkload) -> AllocationReport:
-        """VCore/node requirements of ``workload`` on this design.
-
-        The only part of a report that reads the hierarchy sizing
-        (``vcores_per_ecore``, ``ecores_per_tile``, ``tiles_per_node``).
-        """
-        return self._system.allocate(workload)
-
     def run_inference(self, workload: NetworkWorkload | BNNModel, *,
                       program: Optional[Program] = None) -> InferenceReport:
         """Estimate latency, energy and resource usage of one inference."""
@@ -82,7 +74,7 @@ class AcceleratorModel:
             program = self.compile(workload)
         latency = self._latency_model.estimate(workload, program)
         energy = self._energy_model.estimate(workload, program)
-        allocation = self.allocate(workload)
+        allocation = self._system.allocate(workload)
         return InferenceReport(
             design_name=self.config.name,
             network_name=workload.name,

@@ -134,18 +134,33 @@ class Node:
 
 
 @dataclass(frozen=True)
-class AllocationReport:
-    """How a network maps onto the hierarchy of one design."""
+class Footprint:
+    """Hierarchy-free resource needs of a network on one design.
+
+    Everything here follows from the network schedule alone (mapping,
+    crossbar shape, WDM capacity), never from the VCore/ECore/Tile/Node
+    sizing, so one footprint serves every sizing of a design.
+    """
 
     design_name: str
     network_name: str
     vcores_required: int
-    vcores_per_node: int
-    nodes_required: int
     crossbar_cells_required: int
     per_layer_vcores: Dict[str, int]
-    static_optical_power: float
     crossbar_area_mm2: float
+
+
+@dataclass(frozen=True)
+class AllocationReport(Footprint):
+    """How a network maps onto the hierarchy of one design.
+
+    A :class:`Footprint` plus what the sizing provisions for it
+    (see :func:`provision`).
+    """
+
+    vcores_per_node: int
+    nodes_required: int
+    static_optical_power: float
 
     @property
     def fits_single_node(self) -> bool:
@@ -181,8 +196,8 @@ class EinsteinBarrierSystem:
         """Materialise a node descriptor."""
         return Node(index, self.config)
 
-    def allocate(self, workload: NetworkWorkload) -> AllocationReport:
-        """Compute the VCore/node requirements of a network on this design."""
+    def footprint(self, workload: NetworkWorkload) -> Footprint:
+        """The sizing-independent VCore, cell and area needs of a network."""
         schedule = build_network_schedule(
             workload,
             mapping=self.config.mapping,
@@ -193,24 +208,54 @@ class EinsteinBarrierSystem:
             layer.layer_name: layer.num_tiles for layer in schedule.layer_schedules
         }
         vcores_required = schedule.total_tiles
-        node = self.node()
-        nodes_required = math.ceil(vcores_required / node.num_vcores) if vcores_required else 0
-        cells = sum(s.cells_programmed for s in schedule.layer_schedules)
-        vcore = VCore(0, self.config)
-        ecores_required = math.ceil(
-            vcores_required / max(self.config.vcores_per_ecore, 1)
-        )
-        return AllocationReport(
+        return Footprint(
             design_name=self.config.name,
             network_name=workload.name,
             vcores_required=vcores_required,
-            vcores_per_node=node.num_vcores,
-            nodes_required=max(nodes_required, 1),
-            crossbar_cells_required=cells,
-            per_layer_vcores=per_layer,
-            static_optical_power=(
-                ecores_required * ECore(0, self.config).static_power
-                if self.config.technology == "opcm" else 0.0
+            crossbar_cells_required=sum(
+                s.cells_programmed for s in schedule.layer_schedules
             ),
-            crossbar_area_mm2=vcores_required * vcore.area_mm2,
+            per_layer_vcores=per_layer,
+            crossbar_area_mm2=vcores_required * VCore(0, self.config).area_mm2,
         )
+
+    def allocate(self, workload: NetworkWorkload) -> AllocationReport:
+        """Compute the VCore/node requirements of a network on this design.
+
+        The network's :meth:`footprint` provisioned for this config's
+        sizing.  Only :func:`provision` reads ``vcores_per_ecore``,
+        ``ecores_per_tile`` and ``tiles_per_node``, so a caller that sizes
+        one design many ways computes the footprint once and provisions it
+        per sizing — the design-space sweep does exactly that.
+        """
+        return provision(self.footprint(workload), self.config)
+
+
+def provision(footprint: Footprint,
+              config: AcceleratorConfig) -> AllocationReport:
+    """Provision ``footprint`` on the VCore/ECore/Tile/Node sizing of ``config``.
+
+    Nodes are whole: a network needing VCores provisions enough nodes to
+    hold them, and at least one.  The static optical power is that of the
+    ECores the VCores fill (zero for electronic designs).  ``footprint``
+    must come from a design that differs from ``config`` at most in its
+    sizing; an :class:`AllocationReport` is a footprint too, so a report
+    can be re-provisioned for another sizing directly.
+    """
+    vcores_required = footprint.vcores_required
+    vcores_per_node = Node(0, config).num_vcores
+    static_power = 0.0
+    if config.technology == "opcm":
+        ecores_required = math.ceil(vcores_required / config.vcores_per_ecore)
+        static_power = ecores_required * ECore(0, config).static_power
+    return AllocationReport(
+        design_name=footprint.design_name,
+        network_name=footprint.network_name,
+        vcores_required=vcores_required,
+        crossbar_cells_required=footprint.crossbar_cells_required,
+        per_layer_vcores=footprint.per_layer_vcores,
+        crossbar_area_mm2=footprint.crossbar_area_mm2,
+        vcores_per_node=vcores_per_node,
+        nodes_required=max(math.ceil(vcores_required / vcores_per_node), 1),
+        static_optical_power=static_power,
+    )

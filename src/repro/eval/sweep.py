@@ -19,11 +19,14 @@ This module provides that as a small subsystem:
 
   - workloads: :func:`repro.bnn.workload.get_workload`, derived from the
     networks' shape table without allocating weights;
-  - accelerator models: one per design configuration, hierarchy sizing
-    included;
-  - costs: the compiled program, latency and energy of one network on one
-    design configuration, shared by every hierarchy sizing;
-  - reports: a cost plus the hierarchy allocation of one grid point;
+  - configs: one per design configuration, hierarchy sizing included; a
+    sized config is the default-sizing config with the sizing overridden;
+  - accelerator models: one per design configuration at the default
+    hierarchy sizing (the sweep builds none per sizing);
+  - reports: per network and default-sizing configuration, the cost (the
+    compiled program, latency, energy and the allocation's footprint);
+    per hierarchy sizing, that cost with its allocation re-provisioned
+    by arithmetic (:func:`repro.arch.hierarchy.provision`);
   - layer schedules: :mod:`repro.core.schedule`.
 * :class:`SweepRecord` / :class:`SweepResult` — structured results with a
   JSON-ready payload (:meth:`SweepResult.to_payload`,
@@ -59,7 +62,7 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -67,10 +70,12 @@ import numpy as np
 
 from repro.arch.accelerator import AcceleratorModel, InferenceReport
 from repro.arch.config import (
+    AcceleratorConfig,
     baseline_epcm_config,
     einsteinbarrier_config,
     tacitmap_epcm_config,
 )
+from repro.arch.hierarchy import provision
 from repro.bnn.datasets import load_dataset
 from repro.bnn.model import BNNModel, InferenceEngine
 from repro.bnn.networks import build_network, dataset_for_network
@@ -107,21 +112,20 @@ Hierarchy = Tuple[Optional[int], Optional[int], Optional[int]]
 
 _DEFAULT_HIERARCHY: Hierarchy = (None, None, None)
 
+#: the hierarchy sizing fields, in :data:`Hierarchy` order
+_HIERARCHY_FIELDS = ("vcores_per_ecore", "ecores_per_tile", "tiles_per_node")
+
 _ModelKey = Tuple[str, int, int, Optional[int], Hierarchy]
-#: a model key without its hierarchy component
-_CostKey = Tuple[str, int, int, Optional[int]]
+_CONFIG_CACHE: Dict[_ModelKey, AcceleratorConfig] = {}
 _MODEL_CACHE: Dict[_ModelKey, AcceleratorModel] = {}
-#: (cost key, network) -> a report whose program, latency and energy hold
-#: for every hierarchy sizing
-_COST_CACHE: Dict[Tuple[_CostKey, str], InferenceReport] = {}
 _REPORT_CACHE: Dict[Tuple[_ModelKey, str], InferenceReport] = {}
 _TRAINED_CACHE: Dict[Tuple[str, int, int], BNNModel] = {}
 
 
 def clear_sweep_caches() -> None:
-    """Empty the per-process model, cost, report and trained-net caches."""
+    """Empty the per-process config, model, report and trained-net caches."""
+    _CONFIG_CACHE.clear()
     _MODEL_CACHE.clear()
-    _COST_CACHE.clear()
     _REPORT_CACHE.clear()
     _TRAINED_CACHE.clear()
 
@@ -144,6 +148,46 @@ def _model_key(design: str, crossbar_size: int, wdm_capacity: int,
             _effective_hierarchy(design, hierarchy))
 
 
+def _unsized(key: _ModelKey) -> _ModelKey:
+    """``key`` at the factory's default hierarchy sizing."""
+    return key[:-1] + (_DEFAULT_HIERARCHY,)
+
+
+def _sized_config(key: _ModelKey) -> AcceleratorConfig:
+    """Memoised configuration of one model key.
+
+    The factory builds the configuration at the default hierarchy sizing;
+    every other sizing is that configuration with the explicit
+    ``vcores_per_ecore`` / ``ecores_per_tile`` / ``tiles_per_node`` values
+    overridden, which is what the factory's own keywords produce.
+    """
+    config = _CONFIG_CACHE.get(key)
+    if config is None:
+        design, crossbar_size, wdm_capacity, columns_per_adc, hierarchy = key
+        if hierarchy == _DEFAULT_HIERARCHY:
+            kwargs: Dict[str, int] = {"crossbar_size": crossbar_size}
+            if design in WDM_DESIGNS:
+                kwargs["wdm_capacity"] = wdm_capacity
+            if columns_per_adc is not None:
+                kwargs["columns_per_adc"] = columns_per_adc
+            config = DESIGN_FACTORIES[design](**kwargs)
+        else:
+            config = _sized_config(_unsized(key)).with_overrides(**{
+                name: value
+                for name, value in zip(_HIERARCHY_FIELDS, hierarchy)
+                if value is not None
+            })
+        _CONFIG_CACHE[key] = config
+    return config
+
+
+def _model(key: _ModelKey) -> AcceleratorModel:
+    model = _MODEL_CACHE.get(key)
+    if model is None:
+        model = _MODEL_CACHE[key] = AcceleratorModel(_sized_config(key))
+    return model
+
+
 def get_accelerator_model(design: str, *, crossbar_size: int = 256,
                           wdm_capacity: int = 1,
                           columns_per_adc: Optional[int] = None,
@@ -161,67 +205,47 @@ def get_accelerator_model(design: str, *, crossbar_size: int = 256,
     no sharing knob, mirroring how the WDM axis collapses for ePCM).  The
     hierarchy sizing triple behaves the same way: ``None`` components keep
     the factory default, and explicit values apply only to the PUMA-like
-    designs in :data:`HIERARCHY_DESIGNS`.
+    designs in :data:`HIERARCHY_DESIGNS`.  The sweep itself asks only for
+    models at the default sizing: it sizes them by arithmetic
+    (see :func:`_cached_report`).
     """
     if design not in DESIGN_FACTORIES:
         raise ValueError(
             f"unknown design {design!r}; choose from {sorted(DESIGN_FACTORIES)}"
         )
-    hierarchy = (vcores_per_ecore, ecores_per_tile, tiles_per_node)
-    key = _model_key(design, crossbar_size, wdm_capacity, columns_per_adc,
-                     hierarchy)
-    model = _MODEL_CACHE.get(key)
-    if model is None:
-        _, _, effective_wdm, effective_adc, effective_hier = key
-        factory = DESIGN_FACTORIES[design]
-        kwargs: Dict[str, int] = {"crossbar_size": crossbar_size}
-        if design in WDM_DESIGNS:
-            kwargs["wdm_capacity"] = effective_wdm
-        if effective_adc is not None:
-            kwargs["columns_per_adc"] = effective_adc
-        for name, value in zip(
-            ("vcores_per_ecore", "ecores_per_tile", "tiles_per_node"),
-            effective_hier,
-        ):
-            if value is not None:
-                kwargs[name] = value
-        model = AcceleratorModel(factory(**kwargs))
-        _MODEL_CACHE[key] = model
-    return model
+    return _model(_model_key(
+        design, crossbar_size, wdm_capacity, columns_per_adc,
+        (vcores_per_ecore, ecores_per_tile, tiles_per_node),
+    ))
 
 
-def _cached_report(design: str, crossbar_size: int, wdm_capacity: int,
-                   columns_per_adc: Optional[int], hierarchy: Hierarchy,
-                   network: str) -> InferenceReport:
+def _cached_report(key: _ModelKey, network: str) -> InferenceReport:
     """One grid point's report, computing each cost once per process.
 
     The compiler and the latency and energy models read the design, the
     crossbar size, the WDM capacity and the ADC sharing, but never the
     hierarchy sizing (``vcores_per_ecore``, ``ecores_per_tile``,
-    ``tiles_per_node``): those only decide how many ECores, Tiles and Nodes
-    the allocation provisions.  So the cost is cached without the
-    hierarchy, and each hierarchy sizing adds just its own allocation.
+    ``tiles_per_node``), and neither does the allocation's footprint.  So
+    the cost is the report of the model at the default sizing, and every
+    other sizing re-provisions that report's allocation for its own
+    config — arithmetic on the cached footprint, with no model and no
+    network schedule per sizing.
     """
-    model_key = _model_key(design, crossbar_size, wdm_capacity,
-                           columns_per_adc, hierarchy)
-    key = (model_key, network)
-    report = _REPORT_CACHE.get(key)
+    report = _REPORT_CACHE.get((key, network))
     if report is None:
-        model = get_accelerator_model(
-            design, crossbar_size=crossbar_size, wdm_capacity=wdm_capacity,
-            columns_per_adc=columns_per_adc,
-            vcores_per_ecore=hierarchy[0],
-            ecores_per_tile=hierarchy[1],
-            tiles_per_node=hierarchy[2],
-        )
-        workload = get_workload(network)
-        cost_key = (model_key[:-1], network)
-        cost = _COST_CACHE.get(cost_key)
-        if cost is None:
-            report = _COST_CACHE[cost_key] = model.run_inference(workload)
+        if key[-1] == _DEFAULT_HIERARCHY:
+            report = _model(key).run_inference(get_workload(network))
         else:
-            report = replace(cost, allocation=model.allocate(workload))
-        _REPORT_CACHE[key] = report
+            cost = _cached_report(_unsized(key), network)
+            report = InferenceReport(
+                design_name=cost.design_name,
+                network_name=cost.network_name,
+                latency=cost.latency,
+                energy=cost.energy,
+                allocation=provision(cost.allocation, _sized_config(key)),
+                program=cost.program,
+            )
+        _REPORT_CACHE[(key, network)] = report
     return report
 
 
@@ -495,22 +519,15 @@ class SweepRecord:
 
 def evaluate_point(spec: SweepPointSpec) -> SweepRecord:
     """Evaluate one grid point (deterministic given the spec)."""
-    report = _cached_report(
-        spec.design, spec.crossbar_size, spec.wdm_capacity,
-        spec.columns_per_adc, spec.hierarchy, spec.network
-    )
+    key = _model_key(spec.design, spec.crossbar_size, spec.wdm_capacity,
+                     spec.columns_per_adc, spec.hierarchy)
+    report = _cached_report(key, spec.network)
     baseline = _cached_report(
-        "baseline_epcm", spec.crossbar_size, 1, None, _DEFAULT_HIERARCHY,
-        spec.network
+        _model_key("baseline_epcm", spec.crossbar_size, 1, None,
+                   _DEFAULT_HIERARCHY),
+        spec.network,
     )
-    model = get_accelerator_model(
-        spec.design, crossbar_size=spec.crossbar_size,
-        wdm_capacity=spec.wdm_capacity,
-        columns_per_adc=spec.columns_per_adc,
-        vcores_per_ecore=spec.vcores_per_ecore,
-        ecores_per_tile=spec.ecores_per_tile,
-        tiles_per_node=spec.tiles_per_node,
-    )
+    config = _sized_config(key)
     popcount_error: Optional[float] = None
     if spec.has_functional_noise:
         popcount_error = popcount_error_rate(
@@ -520,7 +537,7 @@ def evaluate_point(spec: SweepPointSpec) -> SweepRecord:
             thermal_sigma=spec.thermal_sigma,
             shot_factor=spec.shot_factor,
             ir_drop_alpha=spec.ir_drop_alpha,
-            technology=model.config.technology,
+            technology=config.technology,
             trials=spec.noise_trials,
             rng=spec.seed,
         )
@@ -535,13 +552,13 @@ def evaluate_point(spec: SweepPointSpec) -> SweepRecord:
         speedup_vs_baseline=baseline.latency.total / report.latency.total,
         energy_ratio_vs_baseline=report.energy.total / baseline.energy.total,
         popcount_error=popcount_error,
-        columns_per_adc=model.config.tile.columns_per_adc,
+        columns_per_adc=config.tile.columns_per_adc,
         thermal_sigma=spec.thermal_sigma,
         shot_factor=spec.shot_factor,
         ir_drop_alpha=spec.ir_drop_alpha,
-        vcores_per_ecore=model.config.vcores_per_ecore,
-        ecores_per_tile=model.config.ecores_per_tile,
-        tiles_per_node=model.config.tiles_per_node,
+        vcores_per_ecore=config.vcores_per_ecore,
+        ecores_per_tile=config.ecores_per_tile,
+        tiles_per_node=config.tiles_per_node,
         vcores_required=report.allocation.vcores_required,
         nodes_required=report.allocation.nodes_required,
         node_utilisation=report.allocation.node_utilisation,

@@ -13,10 +13,18 @@ from repro.arch.config import (
     tacitmap_epcm_config,
 )
 from repro.arch.energy import EnergyModel
-from repro.arch.hierarchy import ECore, EinsteinBarrierSystem, Node, Tile, VCore
+from repro.arch.hierarchy import (
+    ECore,
+    EinsteinBarrierSystem,
+    Footprint,
+    Node,
+    Tile,
+    VCore,
+    provision,
+)
 from repro.arch.timing import LatencyModel
 from repro.bnn.networks import build_network, list_networks
-from repro.bnn.workload import extract_workload
+from repro.bnn.workload import LayerSpec, NetworkWorkload, extract_workload
 from repro.photonics.power import crossbar_receiver_power
 
 
@@ -281,3 +289,49 @@ class TestAllocationUtilisation:
         assert node.num_vcores == 2 * 3 * 4
         assert Tile(0, config).num_vcores == 2 * 3
         assert ECore(0, config).num_vcores == 2
+
+
+class TestProvisioning:
+    """``allocate`` is the sizing-free footprint provisioned for a sizing."""
+
+    SIZINGS = [dict(vcores_per_ecore=1, ecores_per_tile=1, tiles_per_node=1),
+               dict(vcores_per_ecore=3, ecores_per_tile=5, tiles_per_node=7),
+               {}]
+
+    @pytest.mark.parametrize("factory", [baseline_epcm_config,
+                                         tacitmap_epcm_config,
+                                         einsteinbarrier_config])
+    def test_allocate_provisions_the_footprint(self, workloads, factory):
+        config = factory()
+        system = EinsteinBarrierSystem(config)
+        for workload in workloads.values():
+            footprint = system.footprint(workload)
+            assert type(footprint) is Footprint
+            report = system.allocate(workload)
+            assert report == provision(footprint, config)
+            # the report is a footprint itself, and provisioning it again
+            # for the same sizing is the identity
+            assert provision(report, config) == report
+
+    def test_footprint_ignores_the_sizing(self, workloads):
+        first, *others = [
+            EinsteinBarrierSystem(einsteinbarrier_config(**sizing))
+            .footprint(workloads["CNN-L"])
+            for sizing in self.SIZINGS
+        ]
+        assert all(other == first for other in others)
+
+    @pytest.mark.parametrize("factory", [tacitmap_epcm_config,
+                                         einsteinbarrier_config])
+    def test_workload_without_binary_layers(self, factory):
+        digital = NetworkWorkload(
+            name="digital-only", dataset="mnist", input_shape=(784,),
+            layers=(LayerSpec("fc", "linear", False, 784, 10, 1),),
+        )
+        for sizing in self.SIZINGS:
+            report = EinsteinBarrierSystem(factory(**sizing)).allocate(digital)
+            assert report.vcores_required == 0
+            assert report.per_layer_vcores == {}
+            assert report.nodes_required == 1
+            assert report.node_utilisation == 0.0
+            assert report.static_optical_power == 0.0

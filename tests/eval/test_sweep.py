@@ -7,15 +7,18 @@ from dataclasses import replace
 
 import pytest
 
-from repro.arch import accelerator
+from repro.arch import accelerator, hierarchy
 from repro.arch.accelerator import AcceleratorModel
-from repro.arch.config import baseline_epcm_config
-from repro.bnn.networks import build_network
-from repro.bnn.workload import extract_workload
+from repro.arch.config import AcceleratorConfig, baseline_epcm_config
+from repro.arch.hierarchy import EinsteinBarrierSystem
+from repro.bnn.networks import build_network, list_networks
+from repro.bnn.workload import extract_workload, get_workload
 from repro.eval.sweep import (
     DESIGN_FACTORIES,
     AccuracySweepGrid,
     SweepGrid,
+    _cached_report,
+    _model_key,
     clear_sweep_caches,
     evaluate_point,
     get_accelerator_model,
@@ -622,3 +625,106 @@ class TestCostReuse:
         clear_sweep_caches()
         assert run_sweep(reuse_grid, backend="serial").records == first
         assert len(compiled) == 2 * len(keys)
+
+    def test_sizing_builds_no_model_and_no_schedule(self, reuse_grid,
+                                                    monkeypatch):
+        inits, schedules, overrides = [], [], []
+        real_init = AcceleratorModel.__init__
+        real_schedule = hierarchy.build_network_schedule
+        real_overrides = AcceleratorConfig.with_overrides
+
+        def counting_init(model, config):
+            inits.append(config)
+            real_init(model, config)
+
+        def counting_schedule(workload, **kwargs):
+            schedules.append(workload.name)
+            return real_schedule(workload, **kwargs)
+
+        def counting_overrides(config, **kwargs):
+            overrides.append(kwargs)
+            return real_overrides(config, **kwargs)
+
+        monkeypatch.setattr(AcceleratorModel, "__init__", counting_init)
+        monkeypatch.setattr(hierarchy, "build_network_schedule",
+                            counting_schedule)
+        monkeypatch.setattr(AcceleratorConfig, "with_overrides",
+                            counting_overrides)
+        points = reuse_grid.points()
+        unsized_keys = {(p.design, p.crossbar_size, p.wdm_capacity,
+                         p.columns_per_adc) for p in points}
+        cost_keys = {(p.network, p.design, p.crossbar_size, p.wdm_capacity,
+                      p.columns_per_adc) for p in points}
+        sized_keys = {(p.design, p.crossbar_size, p.wdm_capacity,
+                       p.columns_per_adc, p.hierarchy) for p in points
+                      if p.hierarchy != (None, None, None)}
+        assert (len(unsized_keys), len(cost_keys)) == (7, 14)
+        expected = (len(unsized_keys), len(cost_keys), len(sized_keys))
+
+        def counts():
+            return len(inits), len(schedules), len(overrides)
+
+        # in-process, so the counters see every call whatever the
+        # environment's default backend
+        clear_sweep_caches()
+        first = run_sweep(reuse_grid, backend="serial").records
+        # one model per hierarchy-free key, one network schedule per cost;
+        # each sizing is its default config with the sizing overridden
+        assert counts() == expected
+        assert run_sweep(reuse_grid, backend="serial").records == first
+        assert counts() == expected
+        clear_sweep_caches()
+        assert run_sweep(reuse_grid, backend="serial").records == first
+        assert counts() == tuple(2 * n for n in expected)
+
+
+#: the hierarchy sizings the equivalence checks cover
+SIZINGS = [(1, 1, 1), (2, 4, 1), (3, 5, 7), (8, 8, 8)]
+HIERARCHY_FIELDS = ("vcores_per_ecore", "ecores_per_tile", "tiles_per_node")
+
+
+class TestSizingArithmetic:
+    """The sweep sizes each design by re-provisioning one cached footprint."""
+
+    @pytest.mark.parametrize("design, crossbar_size, wdm_capacity", [
+        ("tacitmap_epcm", 64, 1), ("tacitmap_epcm", 256, 1),
+        ("einsteinbarrier", 64, 1), ("einsteinbarrier", 64, 16),
+        ("einsteinbarrier", 256, 1), ("einsteinbarrier", 256, 16),
+    ])
+    def test_reprovisioned_allocation_equals_fresh_allocate(
+            self, design, crossbar_size, wdm_capacity):
+        factory = DESIGN_FACTORIES[design]
+        base = {"crossbar_size": crossbar_size}
+        if design == "einsteinbarrier":
+            base["wdm_capacity"] = wdm_capacity
+        clear_sweep_caches()
+        for network in list_networks():
+            for sizing in SIZINGS:
+                key = _model_key(design, crossbar_size, wdm_capacity, None,
+                                 sizing)
+                swept = _cached_report(key, network).allocation
+                fresh = EinsteinBarrierSystem(
+                    factory(**base, **dict(zip(HIERARCHY_FIELDS, sizing)))
+                ).allocate(get_workload(network))
+                # dataclass equality: every field, floats exactly
+                assert swept == fresh
+                assert swept.static_optical_power \
+                    == fresh.static_optical_power
+                assert swept.per_layer_vcores == fresh.per_layer_vcores
+
+    @pytest.mark.parametrize("design", ["tacitmap_epcm", "einsteinbarrier"])
+    @pytest.mark.parametrize("crossbar_size", [64, 256])
+    @pytest.mark.parametrize("columns_per_adc", [1, 8])
+    def test_sizing_override_equals_factory_keywords(
+            self, design, crossbar_size, columns_per_adc):
+        factory = DESIGN_FACTORIES[design]
+        wdm_capacities = (1, 4, 16) if design == "einsteinbarrier" else (None,)
+        for wdm_capacity in wdm_capacities:
+            base = {"crossbar_size": crossbar_size,
+                    "columns_per_adc": columns_per_adc}
+            if wdm_capacity is not None:
+                base["wdm_capacity"] = wdm_capacity
+            for sizing in SIZINGS:
+                sizing = dict(zip(HIERARCHY_FIELDS, sizing))
+                assert factory(**base, **sizing) \
+                    == factory(**base).with_overrides(**sizing)
