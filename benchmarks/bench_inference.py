@@ -7,10 +7,10 @@ Three measurements, recorded into ``BENCH_inference.json`` at the repo root
   batched packed :class:`repro.bnn.model.InferenceEngine` on MLP and CNN
   workloads, with a bit-exactness check between the two paths — the packed
   engine must clear the committed speedup floors;
-* the streaming packed pipeline: serial chunk loop vs stage-pipelined
-  execution (:mod:`repro.bnn.pipeline`) at the same chunking,
-  bit-exactness checked, with per-stage occupancy so the bottleneck stage
-  is visible in the artifact;
+* chunk-parallel execution: serial chunk loop vs whole chunks on worker
+  threads (:mod:`repro.bnn.pipeline`) at the same chunking, bit-exactness
+  checked.  The parallel path needs BLAS pinned below the CPU count
+  (``OPENBLAS_NUM_THREADS=1``); unpinned, both arms run the serial loop;
 * accuracy-vs-read-noise curves produced *through* the packed engine
   (:func:`repro.eval.sweep.run_accuracy_sweep`), i.e. the functional
   scenario the analytical sweeps cannot provide.
@@ -84,13 +84,10 @@ def _time_network(name: str, batch: int, reps: int) -> dict:
 
 def _time_streaming_pipeline(name: str, total: int, chunk: int,
                              reps: int) -> dict:
-    """Serial chunk loop vs the stage-pipelined path at the same chunking.
+    """Serial chunk loop vs the chunk-parallel path at the same chunking.
 
     Both arms run identical ``total / chunk`` chunk boundaries, so the
-    outputs must be byte-identical; the pipelined arm additionally
-    reports per-stage occupancy (busy seconds / wall) from a final
-    instrumented run, which is how a reader of the artifact finds the
-    bottleneck stage.
+    outputs must be byte-identical.
     """
     model = build_network(name)
     model.eval()
@@ -101,14 +98,13 @@ def _time_streaming_pipeline(name: str, total: int, chunk: int,
     # warm both paths (pack caches, BLAS pools, thread start-up costs)
     engine._run_serial(images, chunk)
     serial_ref = engine._run_serial(images, chunk)
-    piped, _ = pipe.run(images, chunk)
+    piped = pipe.run(images, chunk)
     bit_exact = bool(serial_ref.tobytes() == piped.tobytes())
     piped_m, serial_m, speedup = measure_pair(
         lambda: pipe.run(images, chunk),
         lambda: engine._run_serial(images, chunk),
         reps=reps, label=f"pipeline-{name}",
     )
-    _, stats = pipe.run(images, chunk)
     return {
         "total_images": total,
         "chunk_size": chunk,
@@ -118,7 +114,6 @@ def _time_streaming_pipeline(name: str, total: int, chunk: int,
         "serial_images_per_s": serial_m.throughput(total),
         "pipelined_images_per_s": piped_m.throughput(total),
         "speedup_vs_serial": speedup,
-        "stages": [stage.as_dict() for stage in stats],
     }
 
 
@@ -168,7 +163,7 @@ def test_inference_engine(benchmark, smoke):
     engine, images, batch = bench_target
     benchmark(lambda: engine.predict_batch(images, batch_size=batch))
 
-    # the streaming packed pipeline: stage-overlapped vs serial chunk loop
+    # chunk-parallel vs serial chunk loop
     if smoke:
         streaming_configs = [("MLP-S", 64, 16, 3), ("CNN-M", 8, 2, 3)]
     else:
@@ -178,16 +173,12 @@ def test_inference_engine(benchmark, smoke):
     for name, total, chunk, reps in streaming_configs:
         result = _time_streaming_pipeline(name, total, chunk, reps)
         streaming_networks[name] = result
-        occupancy = ", ".join(
-            f"{stage['name']} {stage['occupancy']:.2f}"
-            for stage in result["stages"]
-        )
         print(
             f"streaming {name}: serial "
             f"{result['serial_images_per_s']:.1f} img/s, pipelined "
             f"{result['pipelined_images_per_s']:.1f} img/s "
             f"({result['speedup_vs_serial']:.2f}x, bit-exact "
-            f"{result['bit_exact']}; occupancy {occupancy})"
+            f"{result['bit_exact']})"
         )
         assert result["bit_exact"], name
     best_name = max(streaming_networks,

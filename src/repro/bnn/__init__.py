@@ -33,7 +33,7 @@ from repro.bnn.layers import (
 )
 from repro.bnn.model import BNNModel, InferenceEngine, fold_batchnorm_sign
 from repro.bnn.networks import build_network, list_networks
-from repro.bnn.pipeline import Stage, StreamingPipeline, plan_stages
+from repro.bnn.pipeline import StreamingPipeline
 from repro.bnn.workload import (
     LayerSpec,
     NetworkWorkload,
@@ -81,9 +81,7 @@ __all__ = [
     "BNNModel",
     "InferenceEngine",
     "fold_batchnorm_sign",
-    "Stage",
     "StreamingPipeline",
-    "plan_stages",
     "PackedTensor",
     "PackedWeights",
     "SignSpec",

@@ -581,15 +581,22 @@ class BatchNorm(Layer):
             mean = self.running_mean
             var = self.running_var
         std = np.sqrt(var + self.eps)
-        x_hat = (x - self._broadcast(mean, x.ndim)) / self._broadcast(std, x.ndim)
-        out = (
-            self._broadcast(self.params["gamma"], x.ndim) * x_hat
-            + self._broadcast(self.params["beta"], x.ndim)
-        )
+        mean_b = self._broadcast(mean, x.ndim)
+        std_b = self._broadcast(std, x.ndim)
+        gamma_b = self._broadcast(self.params["gamma"], x.ndim)
+        beta_b = self._broadcast(self.params["beta"], x.ndim)
         if self.training:
+            x_hat = (x - mean_b) / std_b
             self._cache = (x_hat, std, x)
-        else:
-            self._cache = None
+            return gamma_b * x_hat + beta_b
+        # eval: the same operations in the same order, in one output buffer
+        # instead of a temporary per operation (chunk workers run several
+        # of these at once, so the temporaries would add up in peak memory)
+        self._cache = None
+        out = x - mean_b
+        out /= std_b
+        out *= gamma_b
+        out += beta_b
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

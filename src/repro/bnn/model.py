@@ -35,6 +35,7 @@ from repro.bnn.layers import (
     MaxPool2d,
     SignActivation,
 )
+from repro.bnn.pipeline import StreamingPipeline, chunk_workers
 from repro.bnn.xnor_ops import (
     PackedTensor,
     SIGN_CONST,
@@ -409,18 +410,15 @@ class InferenceEngine:
             return None
         return make_rng(derive_seed(self._seed, f"{offset}/{step_index}"))
 
-    def _run_steps(self, state: Union[np.ndarray, PackedTensor], offset: int,
-                   start: int, stop: int) -> Union[np.ndarray, PackedTensor]:
-        """Run plan steps ``[start, stop)`` on ``state`` (possibly packed).
+    def _run_chunk(self, chunk: np.ndarray, offset: int) -> np.ndarray:
+        """Logits for one chunk: every plan step, then unpack if packed.
 
-        ``start``/``stop`` are *global* plan indices: the flip-noise stream
-        of a fused step derives from ``(offset, step_index)`` with the
-        step's position in the full plan, so running the plan in slices
-        (the streaming pipeline's stages) draws exactly the same noise as
-        one straight :meth:`_run_chunk` pass — the bit-exactness contract.
+        The flip-noise stream of a fused step derives from
+        ``(offset, step_index)``, so a chunk draws the same noise whichever
+        thread runs it and in whatever order — the bit-exactness contract.
         """
-        for step_index in range(start, stop):
-            step = self._steps[step_index]
+        state: Union[np.ndarray, PackedTensor] = chunk
+        for step_index, step in enumerate(self._steps):
             packed = isinstance(state, PackedTensor)
             if step.kind == _STEP_FUSED:
                 if not packed:
@@ -446,17 +444,9 @@ class InferenceEngine:
                 if packed:
                     state = state.to_bipolar().astype(np.float64)
                 state = step.layer.forward(state)
-        return state
-
-    @staticmethod
-    def _finalise(state: Union[np.ndarray, PackedTensor]) -> np.ndarray:
         if isinstance(state, PackedTensor):
             return state.to_bipolar().astype(np.float64)
         return state
-
-    def _run_chunk(self, chunk: np.ndarray, offset: int) -> np.ndarray:
-        return self._finalise(self._run_steps(chunk, offset, 0,
-                                              len(self._steps)))
 
     def _run_serial(self, x: np.ndarray, batch_size: int) -> np.ndarray:
         """The serial chunk loop: the oracle every other path must match."""
@@ -477,26 +467,24 @@ class InferenceEngine:
         pass over identical chunks; the binary layers are exact integer
         arithmetic at any chunking.
 
-        Chunks either run one after another or stream through the
-        *streaming packed pipeline* (:mod:`repro.bnn.pipeline`): the plan
-        is split into stages (dense prefix, packed binary body, dense
-        tail) on their own threads, so chunk *k+1*'s BLAS prefix overlaps
-        chunk *k*'s XNOR/popcount body.  A static rule picks the path:
-        the pipeline runs iff the host has >= 2 effective CPUs, there are
-        >= 2 chunks and the plan has >= 2 stages.  Both paths keep the
-        chunk boundaries and the per-chunk flip-noise seeds, so the output
-        is byte-identical either way.
+        Chunks either run one after another or in parallel, whole chunks
+        at a time, on worker threads (:mod:`repro.bnn.pipeline`).  A
+        static rule picks the path: with
+        ``W = min(chunks, effective_cpus() // blas_threads())`` the
+        chunks run on ``W`` workers iff ``W >= 2``, so the parallel path
+        needs BLAS pinned below the CPU count (``OPENBLAS_NUM_THREADS`` /
+        ``OMP_NUM_THREADS``).  Every chunk runs :meth:`_run_chunk` with
+        its own offset and the results are concatenated in offset order,
+        so the output, including seeded flip noise, is byte-identical
+        either way.
         """
         x = np.asarray(x)
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if x.shape[0] == 0:
             raise ValueError("forward_batch needs at least one sample")
-        from repro.bnn.pipeline import maybe_stream
-
-        streamed = maybe_stream(self, x, batch_size)
-        if streamed is not None:
-            return streamed
+        if chunk_workers(-(-x.shape[0] // batch_size)) >= 2:
+            return StreamingPipeline(self).run(x, batch_size)
         return self._run_serial(x, batch_size)
 
     def predict_batch(self, x: np.ndarray, *,

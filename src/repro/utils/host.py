@@ -16,3 +16,20 @@ def effective_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """Threads each BLAS call uses, read from the environment, not timed.
+
+    The first positive integer in ``OPENBLAS_NUM_THREADS`` or
+    ``OMP_NUM_THREADS``; with neither set, :func:`effective_cpus`, which
+    is what OpenBLAS starts by default.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return effective_cpus()

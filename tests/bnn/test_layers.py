@@ -240,6 +240,27 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             layer.forward(rng.normal(size=(2, 4, 3)))
 
+    @pytest.mark.parametrize("shape", [(16, 5), (3, 5, 4, 4)])
+    def test_eval_matches_reference_formula_bytewise(self, rng, shape):
+        layer = BatchNorm(5)
+        layer.running_mean = rng.normal(size=5)
+        layer.running_var = rng.uniform(0.1, 3.0, size=5)
+        # negative and zero scales as well as positive ones
+        layer.params["gamma"] = np.array([1.5, -0.75, 0.0, -2.0, 0.3])
+        layer.params["beta"] = rng.normal(size=5)
+        layer.eval()
+        x = rng.normal(size=shape)
+        before = x.copy()
+        view = (1, -1) if len(shape) == 2 else (1, -1, 1, 1)
+        std = np.sqrt(layer.running_var + layer.eps)
+        expected = (layer.params["gamma"].reshape(view)
+                    * ((x - layer.running_mean.reshape(view))
+                       / std.reshape(view))
+                    + layer.params["beta"].reshape(view))
+        out = layer.forward(x)
+        assert out.tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()  # input left unmodified
+
 
 class TestActivationsPoolingFlatten:
     def test_sign_activation_outputs_bipolar(self, rng):

@@ -1,15 +1,15 @@
-"""Tests for the streaming packed pipeline.
+"""Tests for chunk-parallel ``forward_batch``.
 
-The contract under test: the stage-pipelined execution path is
+The contract under test: running whole chunks on worker threads is
 *byte-identical* to the serial chunk loop at the same chunking — on all
 evaluation networks, with seeded flip noise, at odd tail chunks and
-``batch_size=1`` — because chunk boundaries and the per-``(offset,
-step_index)`` flip-noise seed derivation are unchanged.  Around that:
-stage planning (prefix/body/tail splits, degenerate single-stage plans),
-the static dispatch rule of ``forward_batch`` (stream iff >= 2 effective
-CPUs, >= 2 chunks and >= 2 stages; no timing, nothing persisted), and
-crash behaviour (a stage exception propagates to the caller and leaves
-no live pipeline threads).
+``batch_size=1`` — because every chunk runs the serial oracle
+``_run_chunk(chunk, offset)`` and results are concatenated in offset
+order.  Around that: the static dispatch rule
+``W = min(chunks, effective_cpus() // blas_threads())`` (parallel iff
+``W >= 2``; no timing, nothing persisted), and crash behaviour (a chunk's
+exception propagates to the caller after every worker has joined, no
+chunk starts after it, and no pipeline thread outlives the call).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bnn import pipeline as pipeline_mod
@@ -36,13 +36,11 @@ from repro.bnn.layers import (
 )
 from repro.bnn.model import BNNModel, InferenceEngine
 from repro.bnn.networks import build_network, list_networks
-from repro.bnn.pipeline import (
-    StreamingPipeline,
-    maybe_stream,
-    pipeline_mode,
-    plan_stages,
-)
+from repro.bnn.pipeline import StreamingPipeline, chunk_workers, pipeline_mode
+from repro.utils import host
 from repro.utils.rng import make_rng
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _small_mlp(rng) -> BNNModel:
@@ -79,24 +77,44 @@ def _small_cnn(rng) -> BNNModel:
     return BNNModel(layers, name="tiny-cnn", input_shape=(3, 8, 8))
 
 
-def _dense_only(rng) -> BNNModel:
-    layers = [Linear(6, 5, rng=rng), Linear(5, 3, rng=rng)]
-    return BNNModel(layers, name="dense-only", input_shape=(6,))
+@pytest.fixture
+def host_setup(monkeypatch):
+    """Set the effective CPU count and the BLAS thread variables.
 
-
-def _assert_pipeline_exact(engine: InferenceEngine, x: np.ndarray,
-                           batch_size: int) -> None:
-    serial = engine._run_serial(x, batch_size)
-    piped, _ = StreamingPipeline(engine).run(x, batch_size)
-    assert serial.tobytes() == piped.tobytes()
+    ``blas`` maps each of ``BLAS_VARS`` to its value, ``None`` for unset;
+    variables it does not name are unset, so the host's own environment
+    never leaks into the rule.
+    """
+    def configure(cpus: int, **blas) -> None:
+        monkeypatch.setattr(host, "effective_cpus", lambda: cpus)
+        for name in BLAS_VARS:
+            value = blas.get(name)
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+    return configure
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """Set the effective CPU count the dispatch rule sees."""
-    def set_cpus(count: int) -> None:
-        monkeypatch.setattr(pipeline_mod, "effective_cpus", lambda: count)
-    return set_cpus
+def run_calls(monkeypatch):
+    """Batch sizes of every ``StreamingPipeline.run`` call in the test."""
+    calls = []
+    original = StreamingPipeline.run
+
+    def spy(self, x, batch_size):
+        calls.append(batch_size)
+        return original(self, x, batch_size)
+
+    monkeypatch.setattr(StreamingPipeline, "run", spy)
+    return calls
+
+
+@pytest.fixture
+def parallel(host_setup, run_calls):
+    """Force the parallel path (two CPUs, one BLAS thread); the run calls."""
+    host_setup(2, OPENBLAS_NUM_THREADS="1")
+    return run_calls
 
 
 def _pipeline_threads():
@@ -104,82 +122,65 @@ def _pipeline_threads():
             if t.name.startswith("repro-pipeline-")]
 
 
-class TestStagePlanning:
-    def test_mlp_prefix_body_tail(self):
-        engine = InferenceEngine(_small_mlp(make_rng(0)))
-        stages = plan_stages(engine._steps)
-        names = [stage.name for stage in stages]
-        assert names[0] == "dense_prefix"
-        assert names[-1] == "dense_tail"
-        assert any(n.startswith("packed_body") for n in names)
-        # contiguous, exhaustive cover of the plan
-        assert stages[0].start == 0
-        assert stages[-1].stop == len(engine._steps)
-        for left, right in zip(stages, stages[1:]):
-            assert left.stop == right.start
-
-    def test_body_split_at_heaviest_fused_step(self):
-        engine = InferenceEngine(build_network("CNN-M"))
-        stages = plan_stages(engine._steps)
-        names = [stage.name for stage in stages]
-        assert "packed_body" in names and "packed_body_2" in names
-        unsplit = plan_stages(engine._steps, split_body=False)
-        assert [s.name for s in unsplit].count("packed_body") == 1
-        assert "packed_body_2" not in [s.name for s in unsplit]
-
-    def test_single_fused_step_body_not_split(self):
-        # one fused step: nothing to split, even with split_body on
-        rng = make_rng(1)
-        model = BNNModel(
-            [Linear(8, 6, rng=rng), BatchNorm(6), SignActivation(),
-             BinaryLinear(6, 5, rng=rng), BatchNorm(5), SignActivation(),
-             Linear(5, 3, rng=rng)],
-            name="one-fused", input_shape=(8,))
-        engine = InferenceEngine(model)
-        names = [s.name for s in plan_stages(engine._steps)]
-        assert "packed_body_2" not in names
-
-    def test_dense_only_plan_is_single_stage(self):
-        engine = InferenceEngine(_dense_only(make_rng(2)))
-        stages = plan_stages(engine._steps)
-        assert len(stages) == 1
-        assert StreamingPipeline(engine).num_stages == 1
+def _assert_parallel_exact(runs, engine: InferenceEngine, x: np.ndarray,
+                           batch_size: int) -> None:
+    """``forward_batch`` on the parallel path equals ``_run_serial``."""
+    serial = engine._run_serial(x, batch_size)
+    before = len(runs)
+    out = engine.forward_batch(x, batch_size=batch_size)
+    assert out.tobytes() == serial.tobytes()
+    # >= 2 chunks take the parallel path; one chunk runs serially
+    assert len(runs) - before == (x.shape[0] > batch_size)
 
 
-class TestStaticDispatch:
-    """``forward_batch`` streams iff >= 2 CPUs, >= 2 chunks, >= 2 stages."""
+# --------------------------------------------------------------------------- #
+# The dispatch rule
+# --------------------------------------------------------------------------- #
 
-    @pytest.mark.parametrize("count,rows,build,streams", [
-        (1, 8, _small_mlp, False),   # one effective CPU
-        (2, 2, _small_mlp, False),   # one chunk
-        (2, 8, _dense_only, False),  # one-stage plan
-        (2, 8, _small_mlp, True),
-        (4, 9, _small_cnn, True),
-    ])
-    def test_rule_table(self, cpus, monkeypatch, count, rows, build,
-                        streams):
-        cpus(count)
-        runs = []
-        original = StreamingPipeline.run
+#: ``effective_cpus() // blas_threads()`` per (CPUs, BLAS variable value):
+#: unset, zero and non-numeric values read as OpenBLAS's default of one
+#: thread per CPU
+CPU_BUDGET = {
+    (1, None): 1, (1, "1"): 1, (1, "2"): 0, (1, "0"): 1, (1, "many"): 1,
+    (2, None): 1, (2, "1"): 2, (2, "2"): 1, (2, "0"): 1, (2, "many"): 1,
+    (4, None): 1, (4, "1"): 4, (4, "2"): 2, (4, "0"): 1, (4, "many"): 1,
+}
 
-        def spy(self, x, batch_size):
-            runs.append(batch_size)
-            return original(self, x, batch_size)
 
-        monkeypatch.setattr(StreamingPipeline, "run", spy)
+class TestDispatchRule:
+    """``W = min(chunks, effective_cpus() // blas_threads())``."""
+
+    @pytest.mark.parametrize("var", BLAS_VARS)
+    @pytest.mark.parametrize("cpus,value", list(CPU_BUDGET))
+    @pytest.mark.parametrize("chunks", [1, 2, 16])
+    def test_rule_table(self, host_setup, run_calls, var, cpus, value,
+                        chunks):
+        host_setup(cpus, **{var: value})
+        workers = min(chunks, CPU_BUDGET[(cpus, value)])
+        assert chunk_workers(chunks) == workers
+
         rng = make_rng(3)
-        model = build(rng)
+        model = _small_mlp(rng)
         model.eval()
         engine = InferenceEngine(model, flip_rate=0.05, seed=4)
-        x = rng.uniform(-1, 1, size=(rows, *model.input_shape))
+        x = rng.uniform(-1, 1, size=(2 * chunks, 12))
         out = engine.forward_batch(x, batch_size=2)
-        assert bool(runs) == streams
+        assert bool(run_calls) == (workers >= 2)
         assert out.tobytes() == engine._run_serial(x, 2).tobytes()
 
-    def test_pipeline_mode_follows_effective_cpus(self, cpus):
-        cpus(1)
+    def test_openblas_variable_comes_first(self, host_setup):
+        host_setup(4, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="1")
+        assert host.blas_threads() == 4
+        # a non-positive OpenBLAS value falls through to OMP_NUM_THREADS
+        host_setup(4, OPENBLAS_NUM_THREADS="0", OMP_NUM_THREADS="2")
+        assert host.blas_threads() == 2
+
+    def test_pipeline_mode_reports_the_rule(self, host_setup):
+        host_setup(1, OPENBLAS_NUM_THREADS="1")
         assert pipeline_mode() == "off"
-        cpus(2)
+        host_setup(2)
+        assert pipeline_mode() == "off"  # BLAS already uses both CPUs
+        host_setup(2, OMP_NUM_THREADS="1")
         assert pipeline_mode() == "on"
 
     def test_forward_batch_persists_nothing(self, tmp_path):
@@ -205,120 +206,158 @@ class TestStaticDispatch:
         assert not (tmp_path / ".cache").exists()
 
 
+# --------------------------------------------------------------------------- #
+# Byte-identity on the parallel path
+# --------------------------------------------------------------------------- #
+
+FIXTURE_SETTINGS = dict(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestBitExactness:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, **FIXTURE_SETTINGS)
     @given(seed=st.integers(0, 2**16), batch=st.integers(2, 11),
            chunk=st.integers(1, 5))
-    def test_mlp_property(self, seed, batch, chunk):
+    def test_mlp_property(self, parallel, seed, batch, chunk):
         rng = np.random.default_rng(seed)
         model = _small_mlp(rng)
         model.eval()
         engine = InferenceEngine(model)
         x = rng.uniform(-2, 2, size=(batch, 12))
-        _assert_pipeline_exact(engine, x, chunk)
+        _assert_parallel_exact(parallel, engine, x, chunk)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, **FIXTURE_SETTINGS)
     @given(seed=st.integers(0, 2**16), flip_ppm=st.integers(1, 200_000),
            chunk=st.integers(1, 4))
-    def test_seeded_flip_noise_property(self, seed, flip_ppm, chunk):
+    def test_seeded_flip_noise_property(self, parallel, seed, flip_ppm, chunk):
         rng = np.random.default_rng(seed)
         model = _small_cnn(rng)
         model.eval()
         engine = InferenceEngine(model, flip_rate=flip_ppm / 1e6, seed=seed)
         x = rng.uniform(-2, 2, size=(9, 3, 8, 8))
-        _assert_pipeline_exact(engine, x, chunk)
+        _assert_parallel_exact(parallel, engine, x, chunk)
 
     @pytest.mark.parametrize("name", list_networks())
-    def test_evaluation_networks(self, name):
+    def test_evaluation_networks(self, parallel, name):
         model = build_network(name)
         model.eval()
         rng = make_rng(11)
         x = rng.uniform(-1, 1, size=(7, *model.input_shape))
         engine = InferenceEngine(model, flip_rate=0.01, seed=2)
         # 7 rows / 3-row chunks: an odd tail chunk by construction
-        _assert_pipeline_exact(engine, x, 3)
+        _assert_parallel_exact(parallel, engine, x, 3)
 
-    def test_batch_size_one(self):
+    def test_batch_size_one(self, parallel):
         rng = make_rng(12)
         model = _small_mlp(rng)
         model.eval()
         engine = InferenceEngine(model, flip_rate=0.05, seed=9)
         x = rng.uniform(-1, 1, size=(6, 12))
-        _assert_pipeline_exact(engine, x, 1)
-
-    def test_single_stage_degenerate_plan_falls_back(self, cpus):
-        cpus(2)
-        rng = make_rng(13)
-        model = _dense_only(rng)
-        model.eval()
-        engine = InferenceEngine(model)
-        x = rng.uniform(-1, 1, size=(6, 6))
-        assert maybe_stream(engine, x, 2) is None
-        _assert_pipeline_exact(engine, x, 2)  # run() degrades to serial
-
-    def test_single_chunk_falls_back(self, cpus):
-        cpus(2)
-        rng = make_rng(14)
-        engine = InferenceEngine(_small_mlp(rng))
-        x = rng.uniform(-1, 1, size=(4, 12))
-        assert maybe_stream(engine, x, 8) is None
-
-    def test_direct_run_reports_stage_stats(self):
-        rng = make_rng(15)
-        engine = InferenceEngine(_small_cnn(rng))
-        x = rng.uniform(-1, 1, size=(8, 3, 8, 8))
-        pipe = StreamingPipeline(engine)
-        out, stats = pipe.run(x, 2)
-        assert out.tobytes() == engine._run_serial(x, 2).tobytes()
-        assert [s.name for s in stats] == [s.name for s in pipe.stages]
-        assert all(s.chunks == 4 for s in stats)
-        assert all(0.0 <= s.occupancy <= 1.0 for s in stats)
+        _assert_parallel_exact(parallel, engine, x, 1)
 
 
+def test_more_workers_than_cores_run_each_chunk_once(host_setup):
+    """Eight workers on a short switch interval: no chunk lost or repeated."""
+    host_setup(8, OPENBLAS_NUM_THREADS="1")
+    rng = make_rng(19)
+    model = _small_cnn(rng)
+    model.eval()
+    engine = InferenceEngine(model, flip_rate=0.02, seed=5)
+    x = rng.uniform(-1, 1, size=(64, 3, 8, 8))
+    serial = engine._run_serial(x, 1)
+    original = engine._run_chunk
+    lock = threading.Lock()
+    runs = []
+
+    def spy(chunk, offset):
+        with lock:
+            runs.append(offset)
+        return original(chunk, offset)
+
+    engine._run_chunk = spy
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = engine.forward_batch(x, batch_size=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(runs) == list(range(64))
+    assert out.tobytes() == serial.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# Crashes
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.usefixtures("parallel")
 class TestCrash:
-    def test_stage_exception_propagates_and_joins_threads(self):
+    def test_failure_joins_every_worker_and_starts_no_chunk(self):
+        """Worker 1's chunk fails while the caller's chunk is in flight.
+
+        The caller's chunk returns only after worker 1 has exited (so the
+        failure is recorded); the caller must then stop instead of taking
+        a third chunk, and ``run`` re-raises only after joining worker 1.
+        """
         rng = make_rng(16)
         engine = InferenceEngine(_small_cnn(rng))
-        x = rng.uniform(-1, 1, size=(10, 3, 8, 8))
-        boom = RuntimeError("stage kaboom")
-        original = engine._run_steps
+        x = rng.uniform(-1, 1, size=(32, 3, 8, 8))
+        original = engine._run_chunk
+        lock = threading.Lock()
+        started = []
+        finished = []
+        failing = []
+        in_flight = threading.Event()
+        failed = threading.Event()
 
-        def exploding(state, offset, start, stop):
-            if offset == 4 and start > 0:
-                raise boom
-            return original(state, offset, start, stop)
+        def spy(chunk, offset):
+            with lock:
+                started.append(offset)
+            if threading.current_thread().name.startswith("repro-pipeline-"):
+                assert in_flight.wait(timeout=10)
+                failing.append(threading.current_thread())
+                failed.set()
+                raise RuntimeError("chunk kaboom")
+            in_flight.set()
+            assert failed.wait(timeout=10)
+            failing[0].join(timeout=10)
+            out = original(chunk, offset)
+            finished.append(offset)
+            return out
 
-        engine._run_steps = exploding
+        engine._run_chunk = spy
         before = _pipeline_threads()
-        with pytest.raises(RuntimeError, match="stage kaboom"):
+        with pytest.raises(RuntimeError, match="chunk kaboom"):
             StreamingPipeline(engine).run(x, 2)
+        assert not failing[0].is_alive()
+        assert sorted(started) == [0, 2]  # one chunk per worker, no third
+        assert len(finished) == 1
         assert _pipeline_threads() == before
 
-    def test_crash_in_first_stage_does_not_deadlock(self):
+    def test_every_chunk_failing_does_not_deadlock(self):
         rng = make_rng(17)
         engine = InferenceEngine(_small_mlp(rng))
         x = rng.uniform(-1, 1, size=(12, 12))
 
-        def exploding(state, offset, start, stop):
-            raise ValueError("no stage survives")
+        def exploding(chunk, offset):
+            raise ValueError("no chunk survives")
 
-        engine._run_steps = exploding
-        with pytest.raises(ValueError, match="no stage survives"):
+        engine._run_chunk = exploding
+        with pytest.raises(ValueError, match="no chunk survives"):
             StreamingPipeline(engine).run(x, 2)
         assert not _pipeline_threads()
 
-    def test_forward_batch_surfaces_the_stage_error(self, cpus):
-        cpus(2)
+    def test_forward_batch_surfaces_the_chunk_error(self):
         rng = make_rng(18)
         engine = InferenceEngine(_small_mlp(rng))
         x = rng.uniform(-1, 1, size=(8, 12))
-        original = engine._run_steps
+        original = engine._run_chunk
 
-        def exploding(state, offset, start, stop):
+        def exploding(chunk, offset):
             if offset == 2:
-                raise RuntimeError("mid-stream")
-            return original(state, offset, start, stop)
+                raise RuntimeError("mid-batch")
+            return original(chunk, offset)
 
-        engine._run_steps = exploding
-        with pytest.raises(RuntimeError, match="mid-stream"):
+        engine._run_chunk = exploding
+        with pytest.raises(RuntimeError, match="mid-batch"):
             engine.forward_batch(x, batch_size=2)
+        assert not _pipeline_threads()
