@@ -1,14 +1,16 @@
 """Static kernel-dispatch parameters of the packed engine.
 
-Two size constants steer :mod:`repro.bnn.xnor_ops`: the row count up to
-which :func:`~repro.bnn.xnor_ops.choose_matmul_kernel` picks the packed
-XNOR/popcount kernel over BLAS, and the float32 patch-block budget of the
-fused conv kernel.  Both kernels are bit-identical, so these numbers only
-ever affect speed.  They are fixed, read off a microbenchmark table rather
-than timed at run time: wall-clock probes on a shared host return noise
-(three runs in a row of the retired MAC-count probe gave boundaries of
-131072, 512 and 512 MACs), and a fixed mapping is also how the paper's
-accelerator gets its parallelism.
+Three size constants steer :mod:`repro.bnn.xnor_ops`: the row count up
+to which :func:`~repro.bnn.xnor_ops.choose_matmul_kernel` picks the packed
+XNOR/popcount kernel over BLAS, the float32 patch-block budget of the
+im2col conv, and the input-channel count from which a 3x3 stride-1 conv
+runs as Winograd F(2x2,3x3) instead of im2col.  Every choice they steer
+is bit-identical, so these numbers only ever affect speed.  They are
+fixed, read off a microbenchmark table rather than timed at run time:
+wall-clock probes on a shared host return noise (three runs in a row of
+the retired MAC-count probe gave boundaries of 131072, 512 and 512 MACs),
+and a fixed mapping is also how the paper's accelerator gets its
+parallelism.
 """
 
 from __future__ import annotations
@@ -36,11 +38,37 @@ from dataclasses import dataclass
 #: 8 keeps a 2x margin below it.
 PACKED_MAX_ROWS = 8
 
-#: float32 patch-block budget (bytes) of the fused conv kernel: the
+#: float32 patch-block budget (bytes) of the im2col conv: the
 #: gather/convert/GEMM pipeline runs per block of output rows so the patch
 #: workspace stays cache-resident (~1.5x faster than one whole-batch
 #: patch matrix).
 CONV_BLOCK_BYTES = 4 << 20
+
+#: Smallest input-channel count at which a 3x3 stride-1 binary conv runs
+#: as exact Winograd F(2x2,3x3) rather than as an im2col GEMM (see
+#: :func:`repro.bnn.xnor_ops.fused_conv2d_sign`).  Winograd does 2.25x
+#: fewer multiplies, but its input and output transforms are extra
+#: passes over the activations that few channels do not amortise.  Median
+#: ms per 32-image conv, im2col / Winograd, one BLAS thread, run alone
+#: and as two concurrent calls (how ``forward_batch`` runs chunks on a
+#: 2-vCPU host), 2-vCPU x86 host:
+#:
+#: =================== ============= =============
+#: layer (C->O, H)     alone         two at once
+#: =================== ============= =============
+#: 32->32, 32          7.2 / 5.6     7.2 / 11.7
+#: 32->64, 16          2.6 / 2.6     2.9 / 3.6
+#: 64->64, 16          4.9 / 4.2     5.3 / 5.7
+#: 128->128, 32        63.8 / 42.9   64.0 / 44.4
+#: 256->256, 16        57.1 / 30.8   59.1 / 30.7
+#: 512->512, 8         76.5 / 26.1   75.8 / 25.4
+#: =================== ============= =============
+#:
+#: 32 channels lose up to 1.6x under two workers; at 64 the layer is
+#: within 8% either way, and CNN-M's chunk-parallel ``forward_batch``
+#: over 512 images reads the same with or without it (224 vs 221 ms);
+#: from 128 channels Winograd wins 1.4-3x.
+WINOGRAD_MIN_CHANNELS = 64
 
 
 @dataclass(frozen=True)
@@ -49,6 +77,7 @@ class AutotuneParams:
 
     packed_max_rows: int
     conv_block_bytes: int
+    winograd_min_channels: int
     source: str
 
     @property
@@ -59,4 +88,5 @@ class AutotuneParams:
 
 def get_params() -> AutotuneParams:
     """The engine's kernel-dispatch parameters (always the static ones)."""
-    return AutotuneParams(PACKED_MAX_ROWS, CONV_BLOCK_BYTES, "defaults")
+    return AutotuneParams(PACKED_MAX_ROWS, CONV_BLOCK_BYTES,
+                          WINOGRAD_MIN_CHANNELS, "defaults")

@@ -37,6 +37,17 @@ weights and run on the packed words, larger ones (offline batches, conv
 patch matrices) on float32 BLAS.  Sweeps that model the packed hardware
 datapath can still opt into ``"packed"`` explicitly at any size.
 
+The float32 BLAS conv has two formulations, chosen by a second static
+rule on the layer's shape: 3x3 stride-1 convs over at least
+:data:`repro.bnn.autotune.WINOGRAD_MIN_CHANNELS` input channels run as
+Winograd's minimal filtering F(2x2,3x3) (Lavin & Gray, arXiv:1509.09308),
+which does 2.25x fewer multiplies; every other conv runs as an im2col GEMM.
+On bipolar operands, with the weight transform scaled to integers, every
+Winograd intermediate is an integer of magnitude at most ``324 * C``.  Up
+to ``C = 51,781`` input channels (:func:`winograd_exact`) that is below
+2**24, so float32 computes it exactly in any summation order and both
+formulations return the same accumulators bit for bit.
+
 Beyond the 2-D matmul kernels this module also provides the *batched packed
 inference* primitives used by :class:`repro.bnn.model.InferenceEngine`:
 
@@ -65,13 +76,37 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.bnn.autotune import CONV_BLOCK_BYTES, PACKED_MAX_ROWS
+from repro.bnn.autotune import (
+    CONV_BLOCK_BYTES,
+    PACKED_MAX_ROWS,
+    WINOGRAD_MIN_CHANNELS,
+)
 from repro.bnn.binarize import to_unipolar
 from repro.utils.validation import check_binary, check_bipolar
 
 #: byte budget of the (rows x outputs x words) uint64 XOR workspace the
 #: packed kernel materialises per row block, keeping it cache-resident
 _PACKED_BLOCK_BYTES = 1 << 20
+
+#: tile rows per image block of the Winograd conv: each of its 16 GEMMs
+#: re-reads a (C x O) weight slice per block, so a block holds whole
+#: images up to this many 2x2 output tiles.  Median ms of one 32-image
+#: ``_conv_winograd`` call at 1 / 2 / 4 / 8 / 16 / 32 images per block,
+#: one BLAS thread, 2-vCPU x86 host (2 MB L2 per core):
+#:
+#: ===================== ==== ==== ==== ==== ==== ====
+#: layer (tiles/image)   1    2    4    8    16   32
+#: ===================== ==== ==== ==== ==== ==== ====
+#: 64->64, H 16 (64)     4.8  4.0  4.2  5.8  6.2  7.0
+#: 128->128, H 32 (256)  43.3 41.2 43.1 43.2 45.9 60.2
+#: 256->256, H 16 (64)   44.4 38.3 32.3 30.4 33.2 32.2
+#: 512->512, H 8 (16)    81.2 54.3 38.1 31.0 27.4 26.3
+#: ===================== ==== ==== ==== ==== ==== ====
+#:
+#: A fixed byte budget misses both ends: the 512-channel layer is fastest
+#: with 16-32 MB of transformed inputs and products per block, the
+#: 64-channel one with 1 MB.  256 rows sits within 10% of every row's best.
+_WINOGRAD_BLOCK_ROWS = 256
 
 
 def xnor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -611,16 +646,60 @@ class PackedWeights:
     are laid out in channel-last ``(k, k, C)`` order with the per-position
     byte padding matching :class:`PackedTensor` windows, and
     ``bit_length`` is the *logical* vector length ``C * k * k``.
+
+    ``winograd`` is the Winograd F(2x2,3x3) operand of a 3x3 conv the
+    static rule sends to Winograd (else ``None``): the integer transformed
+    kernels ``U' = (2G) g (2G)^T`` as float32 ``(16, C, out_c)``, one
+    ``(C, out_c)`` matrix per transform point.  It is built with the other
+    operands, so the binary layers' weight cache holds and drops it with
+    them.
     """
 
     f32: np.ndarray
     packed: np.ndarray
     bit_length: int
+    winograd: Optional[np.ndarray] = None
 
     @property
     def num_outputs(self) -> int:
         """Number of weight rows (output neurons / channels)."""
         return self.f32.shape[0]
+
+
+#: Winograd F(2x2,3x3) weight transform ``G`` doubled to integers, so
+#: the transformed kernels ``U' = (2G) g (2G)^T = 4U`` are exact
+_WINOGRAD_G2 = np.array([[2, 0, 0], [1, 1, 1], [1, -1, 1], [0, 0, 2]],
+                        dtype=np.float32)
+
+#: Winograd F(2x2,3x3) output transform ``A^T``, and ``A^T (x) A^T``,
+#: which maps a tile's 16 transform points ``(xi, nu)`` to its 2x2
+#: output positions ``(r, c)``
+_WINOGRAD_AT = np.array([[1, 1, 1, 0], [0, 1, -1, -1]], dtype=np.float32)
+_WINOGRAD_A = np.kron(_WINOGRAD_AT, _WINOGRAD_AT)
+
+
+def winograd_exact(in_channels: int) -> bool:
+    """Whether Winograd F(2x2,3x3) over ``in_channels`` is exact in float32.
+
+    On bipolar operands the input transform is bounded by 4, the doubled
+    weight transform by 9, the channel sum by ``36 * in_channels`` and the
+    output transform by ``324 * in_channels``.  Every partial sum is an
+    integer no larger than that, and float32 holds all integers below
+    2**24 exactly, in any BLAS summation order.
+    """
+    return 324 * in_channels < 1 << 24
+
+
+def _winograd_applies(kernel_size: int, stride: int, in_channels: int) -> bool:
+    """The static rule of the ``"blas"`` conv: Winograd or im2col.
+
+    3x3 stride-1 convs over at least
+    :data:`repro.bnn.autotune.WINOGRAD_MIN_CHANNELS` input channels, within
+    the exactness bound, take Winograd; every other conv takes im2col.
+    """
+    return (kernel_size == 3 and stride == 1
+            and in_channels >= WINOGRAD_MIN_CHANNELS
+            and winograd_exact(in_channels))
 
 
 def pack_linear_weights(weights_bipolar: np.ndarray) -> PackedWeights:
@@ -651,10 +730,19 @@ def pack_conv_weights(kernels_bipolar: np.ndarray) -> PackedWeights:
     channel_last = np.ascontiguousarray(kernels.transpose(0, 2, 3, 1))
     bits = to_unipolar(channel_last)
     packed = np.packbits(bits, axis=-1).reshape(out_channels, -1)
+    winograd = None
+    if _winograd_applies(k_h, 1, in_channels):
+        # U' = (2G) g (2G)^T for every (in, out) kernel: kernel rows, then
+        # columns, as (4 x 3) products over (k, k, in_c * out_c) operands
+        g = np.ascontiguousarray(kernels.transpose(2, 3, 1, 0),
+                                 dtype=np.float32).reshape(3, -1)
+        rows = (_WINOGRAD_G2 @ g).reshape(4, 3, -1)
+        winograd = (_WINOGRAD_G2 @ rows).reshape(16, in_channels, out_channels)
     return PackedWeights(
         f32=channel_last.reshape(out_channels, -1).astype(np.float32),
         packed=_pad_to_words(packed),
         bit_length=in_channels * k_h * k_w,
+        winograd=winograd,
     )
 
 
@@ -796,6 +884,115 @@ def fused_matmul_sign(x: PackedTensor, weights: PackedWeights,
     )
 
 
+def _unpack_bipolar(data: np.ndarray, channels: int) -> np.ndarray:
+    """Channel-packed bytes -> bipolar int8 ``(..., channels)`` (0/1 -> -1/+1).
+
+    The convs' strided gathers then move 1-byte elements and the float32
+    conversion runs on contiguous blocks — measurably faster than
+    gathering float32.
+    """
+    bipolar = np.unpackbits(data, axis=-1, count=channels).view(np.int8)
+    bipolar <<= 1
+    bipolar -= 1
+    return bipolar
+
+
+def _conv_im2col(data: np.ndarray, channels: int, weights: PackedWeights,
+                 kernel_size: int, stride: int, out_h: int,
+                 out_w: int) -> np.ndarray:
+    """im2col GEMM formulation of the ``"blas"`` conv kernel.
+
+    ``data`` is the spatially padded channel-packed ``(B, H, W, nbytes)``
+    activation; returns the ``(B * out_h * out_w, out_c)`` float32
+    accumulators.
+    """
+    batch = data.shape[0]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        _unpack_bipolar(data, channels), (kernel_size, kernel_size),
+        axis=(1, 2),
+    )[:, ::stride, ::stride]
+    # (B, OH, OW, C, k, k) -> rows in the weights' (k, k, C) order;
+    # gather + convert + GEMM per cache-sized row block so the patch
+    # workspace never leaves cache (per-image at most)
+    transposed = windows.transpose(0, 1, 2, 4, 5, 3)
+    row_length = weights.bit_length
+    rows_per_block = max(1, CONV_BLOCK_BYTES // (row_length * 4))
+    oh_per_block = max(1, rows_per_block // out_w)
+    acc = np.empty((batch * out_h * out_w, weights.num_outputs),
+                   dtype=np.float32)
+    weights_t = weights.f32.T
+    for image in range(batch):
+        for oh_start in range(0, out_h, oh_per_block):
+            oh_stop = min(out_h, oh_start + oh_per_block)
+            block = np.ascontiguousarray(
+                transposed[image, oh_start:oh_stop]
+            ).reshape(-1, row_length).astype(np.float32)
+            row_start = (image * out_h + oh_start) * out_w
+            acc[row_start:row_start + block.shape[0]] = block @ weights_t
+    return acc
+
+
+def _conv_winograd(data: np.ndarray, channels: int, weights: PackedWeights,
+                   out_h: int, out_w: int) -> np.ndarray:
+    """Winograd F(2x2,3x3) formulation of the ``"blas"`` 3x3 stride-1 conv.
+
+    Same contract as :func:`_conv_im2col`.  Each 4x4 input tile ``d`` of
+    the output's 2x2 tiles becomes ``V = B^T d B`` (strided slices of the
+    bipolar int8 array, written into a float32 workspace), one stacked
+    matmul contracts the channels at each of the 16 transform points
+    against ``weights.winograd`` (``U' = 4U``), and ``A^T M A / 4`` gives
+    the 2x2 outputs.  Every value is an integer below 2**24 (see
+    :func:`winograd_exact`), so the result equals :func:`_conv_im2col`
+    bit for bit.  Odd output extents pad one more bipolar ``-1`` row or
+    column (packed zero bits) and crop.
+    """
+    batch = data.shape[0]
+    tiles_h, tiles_w = -(-out_h // 2), -(-out_w // 2)
+    extra_h = 2 * tiles_h + 2 - data.shape[1]
+    extra_w = 2 * tiles_w + 2 - data.shape[2]
+    if extra_h or extra_w:
+        data = np.pad(data, ((0, 0), (0, extra_h), (0, extra_w), (0, 0)))
+    bipolar = _unpack_bipolar(data, channels)
+    operand = weights.winograd
+    out_channels = operand.shape[2]
+    tiles = tiles_h * tiles_w
+    images_per_block = max(1, min(batch, -(-_WINOGRAD_BLOCK_ROWS // tiles)))
+    rows = images_per_block * tiles
+    v_full = np.empty((16, rows, channels), dtype=np.float32)
+    m_full = np.empty((16, rows, out_channels), dtype=np.float32)
+    y_full = np.empty((4, rows * out_channels), dtype=np.float32)
+    acc = np.empty((batch, tiles_h, 2, tiles_w, 2, out_channels),
+                   dtype=np.float32)
+    for start in range(0, batch, images_per_block):
+        stop = min(batch, start + images_per_block)
+        n = stop - start
+        d = bipolar[start:stop]
+        v = v_full[:, :n * tiles]
+        v_tiles = v.reshape(4, 4, n, tiles_h, tiles_w, channels)
+        # B^T d B: rows of every tile, then columns, straight into float32
+        r = [d[:, a:a + 2 * tiles_h:2] for a in range(4)]
+        for xi, row in enumerate((r[0] - r[2], r[1] + r[2], r[2] - r[1],
+                                  r[1] - r[3])):
+            c = [row[:, :, b:b + 2 * tiles_w:2] for b in range(4)]
+            out = v_tiles[xi]
+            np.subtract(c[0], c[2], out=out[0])
+            np.add(c[1], c[2], out=out[1])
+            np.subtract(c[2], c[1], out=out[2])
+            np.subtract(c[1], c[3], out=out[3])
+        m = np.matmul(v, operand, out=m_full[:, :n * tiles])
+        # A^T M A as one (4, 16) product over the 16 transform points (a
+        # single pass over M); the scale by 1/4 is the copy from
+        # (r, c, tile) order into image order
+        y = np.matmul(_WINOGRAD_A, m.reshape(16, -1),
+                      out=y_full[:, :n * tiles * out_channels])
+        y = y.reshape(2, 2, n, tiles_h, tiles_w, out_channels)
+        np.multiply(y.transpose(2, 3, 0, 4, 1, 5), 0.25, out=acc[start:stop])
+    acc = acc.reshape(batch, 2 * tiles_h, 2 * tiles_w, out_channels)
+    # crops the padding tile row / column of odd output extents
+    return np.ascontiguousarray(acc[:, :out_h, :out_w]).reshape(
+        -1, out_channels)
+
+
 def fused_conv2d_sign(x: PackedTensor, weights: PackedWeights,
                       kernel_size: int, sign: Optional[SignSpec] = None, *,
                       stride: int = 1, padding: int = 0,
@@ -805,6 +1002,12 @@ def fused_conv2d_sign(x: PackedTensor, weights: PackedWeights,
 
     Spatial padding pads the packed bytes with zeros — the unipolar
     encoding of bipolar ``-1``, exactly the dense path's ``pad_value=-1``.
+    The ``"blas"`` kernel runs 3x3 stride-1 convs over at least
+    :data:`~repro.bnn.autotune.WINOGRAD_MIN_CHANNELS` input channels (and
+    within the :func:`winograd_exact` bound) as exact Winograd F(2x2,3x3)
+    on ``weights.winograd``, every other conv as an im2col GEMM; the two
+    give bit-identical accumulators, so sign rules, flip injection and the
+    ``sign=None`` int64 path see the same values either way.
     With a :class:`SignSpec` the output is the channel-packed
     :class:`PackedTensor` of logical shape ``(B, out_c, out_h, out_w)``;
     without one the integer pre-activations come back as a dense int64
@@ -838,32 +1041,12 @@ def fused_conv2d_sign(x: PackedTensor, weights: PackedWeights,
             num_rows, weights.num_outputs, weights.bit_length
         )
     if kernel == "blas":
-        # bipolar int8 in place (0/1 -> -1/+1); the strided window gather
-        # then moves 1-byte elements and the float32 conversion runs on
-        # contiguous blocks — measurably faster than gathering float32
-        bipolar = np.unpackbits(data, axis=-1, count=channels).view(np.int8)
-        bipolar <<= 1
-        bipolar -= 1
-        windows = np.lib.stride_tricks.sliding_window_view(
-            bipolar, (kernel_size, kernel_size), axis=(1, 2)
-        )[:, ::stride, ::stride]
-        # (B, OH, OW, C, k, k) -> rows in the weights' (k, k, C) order;
-        # gather + convert + GEMM per cache-sized row block so the patch
-        # workspace never leaves cache (per-image at most)
-        transposed = windows.transpose(0, 1, 2, 4, 5, 3)
-        row_length = weights.bit_length
-        rows_per_block = max(1, CONV_BLOCK_BYTES // (row_length * 4))
-        oh_per_block = max(1, rows_per_block // out_w)
-        acc = np.empty((num_rows, weights.num_outputs), dtype=np.float32)
-        weights_t = weights.f32.T
-        for image in range(batch):
-            for oh_start in range(0, out_h, oh_per_block):
-                oh_stop = min(out_h, oh_start + oh_per_block)
-                block = np.ascontiguousarray(
-                    transposed[image, oh_start:oh_stop]
-                ).reshape(-1, row_length).astype(np.float32)
-                row_start = (image * out_h + oh_start) * out_w
-                acc[row_start:row_start + block.shape[0]] = block @ weights_t
+        if (weights.winograd is not None
+                and _winograd_applies(kernel_size, stride, channels)):
+            acc = _conv_winograd(data, channels, weights, out_h, out_w)
+        else:
+            acc = _conv_im2col(data, channels, weights, kernel_size, stride,
+                               out_h, out_w)
     elif kernel == "packed":
         windows = np.lib.stride_tricks.sliding_window_view(
             data, (kernel_size, kernel_size), axis=(1, 2)

@@ -4,7 +4,9 @@ The contract under test: with noise off, the packed plan (fused
 matmul/conv -> integer-threshold sign -> packed activations) is *bit-exact*
 with the dense layer-by-layer forward pass, on MLP and CNN workloads, for
 every kernel choice — including batch-norm parameter corner cases (negative
-and exactly-zero scales) that exercise every folded comparison mode.
+and exactly-zero scales) that exercise every folded comparison mode — and
+the Winograd and im2col formulations of the BLAS conv are byte-identical,
+with noise on or off.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bnn import xnor_ops
 from repro.bnn.layers import (
     BatchNorm,
     BinaryConv2d,
@@ -40,6 +43,7 @@ from repro.bnn.xnor_ops import (
     pack_linear_weights,
     packed_flatten,
     packed_maxpool2d,
+    winograd_exact,
 )
 from repro.utils.rng import make_rng
 
@@ -219,6 +223,88 @@ class TestFusedKernels:
         assert choose_matmul_kernel(1, 4, 16) == "packed"
         with pytest.raises(ValueError):
             choose_matmul_kernel(-1, 4, 16)
+
+
+#: (spatial size, padding) pairs a 3x3 kernel fits: outputs 1 to 9, odd
+#: and even, so the Winograd tiles are cropped and uncropped
+WINOGRAD_EXTENTS = [(size, padding) for size in (1, 2, 7, 8, 9)
+                    for padding in (0, 1) if size + 2 * padding >= 3]
+
+
+class TestWinogradConv:
+    """Winograd F(2x2,3x3) vs the im2col GEMM: the same bytes, always."""
+
+    def test_exactness_bound(self):
+        assert 324 * 51_781 < 2 ** 24 <= 324 * 51_782
+        assert winograd_exact(1)
+        assert winograd_exact(512)
+        assert winograd_exact(51_781)
+        assert not winograd_exact(51_782)
+        assert not winograd_exact(1 << 20)
+
+    @pytest.mark.parametrize("size,padding", WINOGRAD_EXTENTS)
+    @pytest.mark.parametrize("channels", [64, 65, 130, 256])
+    def test_winograd_is_byte_identical_to_im2col(self, monkeypatch, channels,
+                                                  size, padding):
+        rng = make_rng(channels * 100 + size * 10 + padding)
+        out_channels = 5
+        kernels = _random_bipolar(rng, (out_channels, channels, 3, 3))
+        weights = pack_conv_weights(kernels)
+        assert weights.winograd is not None
+        assert weights.winograd.shape == (16, channels, out_channels)
+        out = size + 2 * padding - 2
+        tiles = (-(-out // 2)) ** 2
+        several_blocks = 2 * -(-xnor_ops._WINOGRAD_BLOCK_ROWS // tiles) + 1
+        spec = _mixed_sign_spec(rng, out_channels, spread=12)
+        for batch in (1, several_blocks):
+            images = _random_bipolar(rng, (batch, channels, size, size))
+            x = PackedTensor.from_bipolar(images)
+            data = np.pad(x.data, ((0, 0), (padding, padding),
+                                   (padding, padding), (0, 0)))
+            winograd = xnor_ops._conv_winograd(data, channels, weights,
+                                               out, out)
+            im2col = xnor_ops._conv_im2col(data, channels, weights, 3, 1,
+                                           out, out)
+            assert winograd.tobytes() == im2col.tobytes(), batch
+
+            def fused():
+                return [fused_conv2d_sign(x, weights, 3, sign,
+                                          padding=padding, kernel="blas",
+                                          flip_rate=rate, rng=make_rng(3))
+                        for sign, rate in ((None, 0.0), (spec, 0.0),
+                                           (spec, 0.05))]
+
+            on = fused()
+            with monkeypatch.context() as patch:
+                patch.setattr(xnor_ops, "WINOGRAD_MIN_CHANNELS", 1 << 30)
+                off = fused()
+            dense = binary_conv2d(images, kernels, padding=padding)
+            assert on[0].dtype == off[0].dtype == np.int64
+            assert on[0].tobytes() == off[0].tobytes() == dense.tobytes()
+            for a, b in zip(on[1:], off[1:]):
+                assert a.shape == b.shape
+                assert a.data.tobytes() == b.data.tobytes(), batch
+
+    def test_cnn_l_noisy_forward_batch_is_byte_identical(self, monkeypatch):
+        model = build_network("CNN-L")
+        model.eval()
+        x = make_rng(61).uniform(-1, 1, size=(4, *model.input_shape))
+        engine = InferenceEngine(model, flip_rate=0.05, seed=7)
+        calls = []
+        real = xnor_ops._conv_winograd
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(xnor_ops, "_conv_winograd", spy)
+        on = engine.forward_batch(x, batch_size=2)
+        assert len(calls) == 2 * 5  # two chunks x five binary convs
+        with monkeypatch.context() as patch:
+            patch.setattr(xnor_ops, "WINOGRAD_MIN_CHANNELS", 1 << 30)
+            off = engine.forward_batch(x, batch_size=2)
+        assert len(calls) == 2 * 5
+        assert on.tobytes() == off.tobytes()
 
 
 class TestBatchNormFolding:
@@ -463,6 +549,27 @@ class TestWeightPackCache:
         flat = layer.binary_weight.transpose(0, 2, 3, 1).reshape(5, -1)
         assert np.array_equal(packed.f32, flat.astype(np.float32))
         assert packed.bit_length == 3 * 9
+
+
+    def test_refresh_rebuilds_the_winograd_operand(self):
+        model = build_network("CNN-L")
+        model.eval()
+        x = make_rng(59).uniform(-1, 1, size=(2, *model.input_shape))
+        engine = InferenceEngine(model)
+        before = engine.forward_batch(x, batch_size=2)
+        conv = next(layer for layer in model.layers
+                    if isinstance(layer, BinaryConv2d))
+        stale = conv.packed_weights.winograd
+        conv.params["weight"] *= -1.0
+        engine.refresh()
+        after = engine.forward_batch(x, batch_size=2)
+        fresh = conv.packed_weights.winograd
+        # the transform is linear in the kernels, so negating them must
+        # negate the operand; a stale one would silently give wrong logits
+        assert fresh is not stale
+        assert np.array_equal(fresh, -stale)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, model.forward(x))
 
 
 class TestChunking:

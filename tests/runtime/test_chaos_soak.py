@@ -61,10 +61,12 @@ SOAK_PLAN = FaultPlan(
 
 
 def _soak_grid() -> SweepGrid:
+    # 12 points of 0.3 s each: the drain must outlast at least two ticks
+    # of the plan's kill cadence, or the killer lands a single SIGKILL
     return SweepGrid(
         networks=("MLP-S",),
         designs=("baseline_epcm", "einsteinbarrier"),
-        crossbar_sizes=(128, 256),
+        crossbar_sizes=(128, 256, 512),
         wdm_capacities=(4,),
         noise_sigmas=(0.0, 0.05),
         noise_trials=2,
