@@ -418,7 +418,7 @@ class BinaryConv2d(_BinaryWeightCache, Layer):
         self._cache: Optional[Tuple[np.ndarray, np.ndarray, int, int, Tuple[int, ...]]] = None
 
     def _pack_weight_operands(self) -> PackedWeights:
-        return pack_conv_weights(self.binary_weight)
+        return pack_conv_weights(self.binary_weight, stride=self.stride)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

@@ -638,24 +638,26 @@ class PackedTensor:
 class PackedWeights:
     """Pre-packed binary weight operands consumed by the fused kernels.
 
-    ``f32`` carries the bipolar rows as float32 (the BLAS operand; exact
-    because every accumulator is an integer far below 2**24) and ``packed``
-    the same rows bit-packed (the XOR+popcount operand), zero-padded once
-    to a whole number of 8-byte words so :func:`packed_mismatches` views
-    them as ``uint64`` without a per-call copy.  For convolutions the rows
-    are laid out in channel-last ``(k, k, C)`` order with the per-position
-    byte padding matching :class:`PackedTensor` windows, and
-    ``bit_length`` is the *logical* vector length ``C * k * k``.
+    ``packed`` carries the bipolar rows bit-packed (the XOR+popcount
+    operand), zero-padded once to a whole number of 8-byte words so
+    :func:`packed_mismatches` views them as ``uint64`` without a per-call
+    copy.  For convolutions the rows are laid out in channel-last
+    ``(k, k, C)`` order with the per-position byte padding matching
+    :class:`PackedTensor` windows, and ``bit_length`` is the *logical*
+    vector length ``C * k * k``.
 
-    ``winograd`` is the Winograd F(2x2,3x3) operand of a 3x3 conv the
-    static rule sends to Winograd (else ``None``): the integer transformed
-    kernels ``U' = (2G) g (2G)^T`` as float32 ``(16, C, out_c)``, one
-    ``(C, out_c)`` matrix per transform point.  It is built with the other
-    operands, so the binary layers' weight cache holds and drops it with
-    them.
+    The BLAS operand is one of two float32 formulations (exact because
+    every accumulator is an integer far below 2**24), whichever the
+    layer's ``"blas"`` kernel runs; the other is ``None``.  ``f32`` holds
+    the same rows as ``packed``, unpacked (linear layers and im2col
+    convs).  ``winograd`` is the Winograd F(2x2,3x3) operand of a 3x3
+    conv the static rule sends to Winograd: the integer transformed
+    kernels ``U' = (2G) g (2G)^T`` as ``(16, C, out_c)``, one
+    ``(C, out_c)`` matrix per transform point.  All are built together,
+    so the binary layers' weight cache holds and drops them together.
     """
 
-    f32: np.ndarray
+    f32: Optional[np.ndarray]
     packed: np.ndarray
     bit_length: int
     winograd: Optional[np.ndarray] = None
@@ -663,7 +665,7 @@ class PackedWeights:
     @property
     def num_outputs(self) -> int:
         """Number of weight rows (output neurons / channels)."""
-        return self.f32.shape[0]
+        return self.packed.shape[0]
 
 
 #: Winograd F(2x2,3x3) weight transform ``G`` doubled to integers, so
@@ -715,11 +717,14 @@ def pack_linear_weights(weights_bipolar: np.ndarray) -> PackedWeights:
     )
 
 
-def pack_conv_weights(kernels_bipolar: np.ndarray) -> PackedWeights:
+def pack_conv_weights(kernels_bipolar: np.ndarray, *,
+                      stride: int = 1) -> PackedWeights:
     """Pack the (out_c, in_c, k, k) bipolar kernels of a conv layer.
 
     Rows are flattened in channel-last ``(k, k, C)`` order so they line up
     with the byte windows a channel-packed :class:`PackedTensor` produces.
+    The BLAS operand is the one :func:`fused_conv2d_sign` runs at this
+    ``stride``: ``winograd`` where :func:`_winograd_applies`, else ``f32``.
     """
     kernels = np.asarray(kernels_bipolar)
     if kernels.ndim != 4:
@@ -730,16 +735,18 @@ def pack_conv_weights(kernels_bipolar: np.ndarray) -> PackedWeights:
     channel_last = np.ascontiguousarray(kernels.transpose(0, 2, 3, 1))
     bits = to_unipolar(channel_last)
     packed = np.packbits(bits, axis=-1).reshape(out_channels, -1)
-    winograd = None
-    if _winograd_applies(k_h, 1, in_channels):
+    f32 = winograd = None
+    if _winograd_applies(k_h, stride, in_channels):
         # U' = (2G) g (2G)^T for every (in, out) kernel: kernel rows, then
         # columns, as (4 x 3) products over (k, k, in_c * out_c) operands
         g = np.ascontiguousarray(kernels.transpose(2, 3, 1, 0),
                                  dtype=np.float32).reshape(3, -1)
         rows = (_WINOGRAD_G2 @ g).reshape(4, 3, -1)
         winograd = (_WINOGRAD_G2 @ rows).reshape(16, in_channels, out_channels)
+    else:
+        f32 = channel_last.reshape(out_channels, -1).astype(np.float32)
     return PackedWeights(
-        f32=channel_last.reshape(out_channels, -1).astype(np.float32),
+        f32=f32,
         packed=_pad_to_words(packed),
         bit_length=in_channels * k_h * k_w,
         winograd=winograd,
@@ -1044,9 +1051,14 @@ def fused_conv2d_sign(x: PackedTensor, weights: PackedWeights,
         if (weights.winograd is not None
                 and _winograd_applies(kernel_size, stride, channels)):
             acc = _conv_winograd(data, channels, weights, out_h, out_w)
-        else:
+        elif weights.f32 is not None:
             acc = _conv_im2col(data, channels, weights, kernel_size, stride,
                                out_h, out_w)
+        else:
+            raise ValueError(
+                "these weights carry only the Winograd operand, which does "
+                f"not apply to this conv (stride {stride}); pack them with "
+                f"pack_conv_weights(kernels, stride={stride})")
     elif kernel == "packed":
         windows = np.lib.stride_tricks.sliding_window_view(
             data, (kernel_size, kernel_size), axis=(1, 2)

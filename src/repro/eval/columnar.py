@@ -15,11 +15,15 @@ module owns the at-scale result format:
   record schema version.  It is rewritten atomically on every append, so
   a reader always sees a consistent prefix of the store.
 * **Integrity is checked, never assumed**: every read verifies the
-  segment's SHA-256 against the manifest before :func:`numpy.load`
-  touches it; a mismatch raises :class:`CorruptSegmentError`, and
+  segment's SHA-256 against the manifest before any of its bytes are
+  parsed; a mismatch raises :class:`CorruptSegmentError`, and
   :meth:`ColumnarStore.scan` (``repair=True``) *quarantines* corrupt or
   truncated segments into ``quarantine/`` — loudly, in the returned
-  report — instead of silently dropping rows.
+  report — instead of silently dropping rows.  A verified segment is
+  decoded straight from its one ``records.npy`` member: each distinct
+  ``.npy`` header is parsed once per process, object dtypes are
+  refused (NumPy's ``allow_pickle=False``), and a format 3.0 or
+  Fortran-ordered member goes through :func:`numpy.load`.
 * **Schema bumps force recompute.**  Opening a store whose manifest
   carries a different ``schema_version`` archives the old manifest and
   segments into ``superseded-v<N>-<hash>/`` and starts fresh; because
@@ -38,17 +42,22 @@ memory.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import os
 import shutil
+import zipfile
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Set, Tuple,
 )
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from repro.eval.sweep import SweepRecord
 
@@ -66,6 +75,7 @@ _SEGMENT_PREFIX = "seg-"
 _SEGMENT_SUFFIX = ".npz"
 _QUARANTINE_DIR = "quarantine"
 _ARRAY_KEY = "records"
+_ARRAY_MEMBER = f"{_ARRAY_KEY}.npy"
 
 #: structured dtype of one sweep record row (field 0 is the identity);
 #: ``U``-fields hold unicode, nullable floats map ``None`` <-> NaN
@@ -96,8 +106,37 @@ SWEEP_RECORD_DTYPE = np.dtype([
 #: SweepRecord fields whose ``None`` is stored as NaN (Optional[float])
 _NULLABLE_FIELDS = ("noise_sigma", "popcount_error")
 
-#: value types :func:`task_identity` hashes without going through ``asdict``
-_JSON_SCALARS = (str, int, float, bool, type(None))
+# the record columns after ``identity`` are the SweepRecord fields, in
+# order, so a decoded row builds its record positionally
+assert SWEEP_RECORD_DTYPE.names[1:] == tuple(
+    field.name for field in fields(SweepRecord))
+
+
+#: how :func:`json.dumps` (``allow_nan``) spells the non-finite floats
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_json(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE_JSON.get(text, text)
+
+
+#: canonical JSON of each exact scalar type, as :func:`json.dumps` writes
+#: it with ``ensure_ascii=True``; every other type takes ``json.dumps``
+_SCALAR_JSON: Dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _field_prefixes(cls: type) -> Tuple[Tuple[str, str], ...]:
+    """``(name, '"name":')`` per dataclass field, in sorted-key order."""
+    return tuple((name, encode_basestring_ascii(name) + ":")
+                 for name in sorted(field.name for field in fields(cls)))
 
 
 class CorruptSegmentError(RuntimeError):
@@ -117,25 +156,33 @@ def task_identity(point: object, *,
     it is what lets an interrupted/extended/re-submitted sweep *resume*
     by skipping already-published identities.
 
-    A dataclass whose field values are all JSON scalars is read field by
-    field; any other value (a nested dataclass, a tuple, a NumPy scalar)
-    goes through :func:`dataclasses.asdict`, so both routes hash the same
-    canonical JSON.
+    A dataclass whose field values are all exact JSON scalars (``str``,
+    ``int``, ``float``, ``bool``, ``None``) is encoded field by field,
+    straight into the canonical JSON; any other value (a nested
+    dataclass, a tuple, a NumPy scalar) sends the point through
+    :func:`dataclasses.asdict` and :func:`json.dumps`.  Both routes
+    write the same bytes for the same values.
     """
+    schema = int(schema_version)
     if is_dataclass(point) and not isinstance(point, type):
-        values: Mapping[str, object] = {
-            field.name: getattr(point, field.name) for field in fields(point)
-        }
-        if not all(type(value) in _JSON_SCALARS
-                   for value in values.values()):
-            values = asdict(point)
+        try:
+            body = ",".join([
+                prefix + _SCALAR_JSON[type(value)](value)
+                for name, prefix in _field_prefixes(type(point))
+                for value in (getattr(point, name),)
+            ])
+        except KeyError:
+            values: Mapping[str, object] = asdict(point)
+        else:
+            blob = f'{{"point":{{{body}}},"schema":{schema}}}'
+            return hashlib.sha256(blob.encode("ascii")).hexdigest()
     elif isinstance(point, Mapping):
         values = dict(point)
     else:
         raise TypeError(
             f"point must be a dataclass instance or a mapping, got {point!r}"
         )
-    payload = {"point": values, "schema": int(schema_version)}
+    payload = {"point": values, "schema": schema}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -165,16 +212,68 @@ def array_to_sweep_records(
     native Python scalars, so a round-tripped :class:`SweepRecord`
     compares (and pickles) identical to the original.  Decoding goes
     column by column (``tolist`` per field), never through per-row NumPy
-    scalars.
+    scalars, and each record is built positionally (the columns after
+    ``identity`` are the record's fields, in order).
     """
     columns = {name: arr[name].tolist() for name in SWEEP_RECORD_DTYPE.names}
     for name in _NULLABLE_FIELDS:
         columns[name] = [None if value != value else value
                          for value in columns[name]]
     identities = columns.pop("identity")
-    names = tuple(columns)
-    return [(identity, SweepRecord(**dict(zip(names, values))))
+    return [(identity, SweepRecord(*values))
             for identity, *values in zip(identities, *columns.values())]
+
+
+#: ``.npy`` format versions :func:`_decode_npy` reads itself: the width
+#: of the header-length field and NumPy's public reader of the header
+_NPY_HEADERS = {
+    (1, 0): (2, npy_format.read_array_header_1_0),
+    (2, 0): (4, npy_format.read_array_header_2_0),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_npy_header(version: Tuple[int, int], header: bytes
+                      ) -> Tuple[Tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` of one ``.npy`` header, parsed once.
+
+    ``header`` is the length field plus the header dict, validated by
+    NumPy's own reader exactly as :func:`numpy.load` validates it.
+    """
+    return _NPY_HEADERS[version][1](io.BytesIO(header))
+
+
+def _decode_npy(member: bytes, name: str) -> np.ndarray:
+    """One ``.npy`` member -> a writable array, as ``np.load`` reads it.
+
+    Format 1.0 and 2.0 members of C-ordered arrays are decoded here:
+    the header through :func:`_parse_npy_header`, the data through
+    :func:`numpy.frombuffer` and a copy.  Anything else (format 3.0,
+    which NumPy writes only for non-Latin-1 field names, or a Fortran
+    order) goes through :func:`numpy.load`.  Either way object dtypes
+    raise instead of unpickling.  Here a data section whose length
+    differs from the header's raises :class:`CorruptSegmentError`.
+    """
+    version = tuple(member[6:8])
+    known = _NPY_HEADERS.get(version)
+    if member[:6] == npy_format.MAGIC_PREFIX and known is not None:
+        start = 8 + known[0]
+        end = start + int.from_bytes(member[8:start], "little")
+        shape, fortran_order, dtype = _parse_npy_header(version,
+                                                        member[8:end])
+        if not fortran_order:
+            if dtype.hasobject:
+                raise ValueError(
+                    f"segment {name} holds an object array; object arrays "
+                    "cannot be loaded when allow_pickle=False")
+            count = int(np.prod(shape))
+            data = memoryview(member)[end:]
+            if len(data) != count * dtype.itemsize:
+                raise CorruptSegmentError(
+                    f"segment {name} holds {len(data)} array bytes, its "
+                    f"header declares {count * dtype.itemsize}")
+            return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    return np.load(io.BytesIO(member), allow_pickle=False)
 
 
 @dataclass(frozen=True)
@@ -315,9 +414,8 @@ class ColumnarStore:
         except (ValueError, IndexError):
             return -1
 
-    def _next_sequence(self) -> int:
-        taken = [self._parse_sequence(segment.name)
-                 for segment in self.segments()]
+    def _next_sequence(self, segments: Sequence[SegmentInfo]) -> int:
+        taken = [self._parse_sequence(segment.name) for segment in segments]
         taken += [self._parse_sequence(name)
                   for name in self._segment_files_on_disk()]
         return max(taken, default=-1) + 1
@@ -338,7 +436,8 @@ class ColumnarStore:
         np.savez(buffer, **{_ARRAY_KEY: arr})
         blob = buffer.getvalue()
         digest = hashlib.sha256(blob).hexdigest()
-        name = (f"{_SEGMENT_PREFIX}{self._next_sequence():07d}"
+        segments = self.segments()
+        name = (f"{_SEGMENT_PREFIX}{self._next_sequence(segments):07d}"
                 f"-{digest[:8]}{_SEGMENT_SUFFIX}")
         path = os.path.join(self.root, name)
         tmp_path = f"{path}.{os.getpid()}.tmp"
@@ -347,10 +446,11 @@ class ColumnarStore:
         os.replace(tmp_path, path)
         segment = SegmentInfo(name=name, rows=int(arr.shape[0]),
                               sha256=digest)
-        self._write_manifest(self.segments() + [segment])
+        self._write_manifest(segments + [segment])
         return segment
 
-    def _load_segment(self, segment: SegmentInfo) -> np.ndarray:
+    def _read_verified(self, segment: SegmentInfo) -> bytes:
+        """The segment's bytes, once their SHA-256 matches the manifest."""
         path = os.path.join(self.root, segment.name)
         try:
             with open(path, "rb") as handle:
@@ -367,13 +467,19 @@ class ColumnarStore:
                 " — truncated or corrupted; run scan(repair=True) to"
                 " quarantine it"
             )
-        with np.load(io.BytesIO(blob)) as archive:
-            return archive[_ARRAY_KEY]
+        return blob
+
+    def _load_segment(self, segment: SegmentInfo) -> np.ndarray:
+        """Verify one segment's checksum, then decode its records array."""
+        blob = self._read_verified(segment)
+        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+            member = archive.read(_ARRAY_MEMBER)
+        return _decode_npy(member, segment.name)
 
     def iter_segments(self) -> Iterator[np.ndarray]:
         """Stream segment arrays in append order (one in memory at a time).
 
-        Every segment is checksum-verified before NumPy parses it;
+        Every segment is checksum-verified before any of it is parsed;
         corruption raises :class:`CorruptSegmentError` instead of
         yielding garbage rows.
         """
@@ -394,21 +500,25 @@ class ColumnarStore:
         """
         identities: Set[str] = set()
         for arr in self.iter_segments():
-            identities.update(str(value) for value in arr["identity"])
+            identities.update(arr["identity"].tolist())
         return identities
 
     # -- integrity --------------------------------------------------------
     def scan(self, *, repair: bool = False) -> ScanReport:
-        """Verify every segment; optionally quarantine the damage.
+        """Verify every segment's checksum; optionally quarantine the damage.
 
-        ``corrupt`` lists manifest entries whose bytes are missing or
-        fail their checksum (the torn tail a crash mid-append can
-        leave); ``orphans`` lists on-disk ``seg-*.npz`` files the
-        manifest does not know (the other half of the same crash).  With
-        ``repair=True`` both are *moved* into ``quarantine/`` — loudly
-        reported, never silently dropped — and the manifest is rewritten
-        to the surviving entries; their rows recompute on the next
-        resume because their identities are no longer published.
+        Each segment is read and its SHA-256 compared with the manifest;
+        nothing is parsed, because a segment is written once with the
+        bytes its checksum was taken from (readers still decode what
+        they read, and raise on a malformed array).  ``corrupt`` lists
+        manifest entries whose bytes are missing or fail their checksum
+        (the torn tail a crash mid-append can leave); ``orphans`` lists
+        on-disk ``seg-*.npz`` files the manifest does not know (the
+        other half of the same crash).  With ``repair=True`` both are
+        *moved* into ``quarantine/`` — loudly reported, never silently
+        dropped — and the manifest is rewritten to the surviving
+        entries; their rows recompute on the next resume because their
+        identities are no longer published.
         """
         ok: List[str] = []
         corrupt: List[str] = []
@@ -418,7 +528,7 @@ class ColumnarStore:
         for segment in self.segments():
             listed.add(segment.name)
             try:
-                self._load_segment(segment)
+                self._read_verified(segment)
             except CorruptSegmentError:
                 corrupt.append(segment.name)
             else:

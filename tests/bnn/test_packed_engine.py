@@ -250,8 +250,14 @@ class TestWinogradConv:
         out_channels = 5
         kernels = _random_bipolar(rng, (out_channels, channels, 3, 3))
         weights = pack_conv_weights(kernels)
-        assert weights.winograd is not None
+        assert weights.winograd is not None and weights.f32 is None
         assert weights.winograd.shape == (16, channels, out_channels)
+        # the im2col operand, built on demand with Winograd switched off
+        with monkeypatch.context() as patch:
+            patch.setattr(xnor_ops, "WINOGRAD_MIN_CHANNELS", 1 << 30)
+            im2col_weights = pack_conv_weights(kernels)
+        assert im2col_weights.winograd is None
+        assert im2col_weights.num_outputs == weights.num_outputs
         out = size + 2 * padding - 2
         tiles = (-(-out // 2)) ** 2
         several_blocks = 2 * -(-xnor_ops._WINOGRAD_BLOCK_ROWS // tiles) + 1
@@ -263,21 +269,18 @@ class TestWinogradConv:
                                    (padding, padding), (0, 0)))
             winograd = xnor_ops._conv_winograd(data, channels, weights,
                                                out, out)
-            im2col = xnor_ops._conv_im2col(data, channels, weights, 3, 1,
-                                           out, out)
+            im2col = xnor_ops._conv_im2col(data, channels, im2col_weights,
+                                           3, 1, out, out)
             assert winograd.tobytes() == im2col.tobytes(), batch
 
-            def fused():
-                return [fused_conv2d_sign(x, weights, 3, sign,
+            def fused(operands):
+                return [fused_conv2d_sign(x, operands, 3, sign,
                                           padding=padding, kernel="blas",
                                           flip_rate=rate, rng=make_rng(3))
                         for sign, rate in ((None, 0.0), (spec, 0.0),
                                            (spec, 0.05))]
 
-            on = fused()
-            with monkeypatch.context() as patch:
-                patch.setattr(xnor_ops, "WINOGRAD_MIN_CHANNELS", 1 << 30)
-                off = fused()
+            on, off = fused(weights), fused(im2col_weights)
             dense = binary_conv2d(images, kernels, padding=padding)
             assert on[0].dtype == off[0].dtype == np.int64
             assert on[0].tobytes() == off[0].tobytes() == dense.tobytes()
@@ -302,9 +305,36 @@ class TestWinogradConv:
         assert len(calls) == 2 * 5  # two chunks x five binary convs
         with monkeypatch.context() as patch:
             patch.setattr(xnor_ops, "WINOGRAD_MIN_CHANNELS", 1 << 30)
+            engine.refresh()  # repacks the im2col operands
             off = engine.forward_batch(x, batch_size=2)
         assert len(calls) == 2 * 5
         assert on.tobytes() == off.tobytes()
+
+    @pytest.mark.parametrize("stride,winograd", [(1, True), (2, False)])
+    def test_conv_layer_packs_one_blas_operand(self, stride, winograd):
+        conv = BinaryConv2d(64, 8, 3, stride=stride, padding=1, rng=5)
+        conv.eval()
+        weights = conv.packed_weights
+        assert (weights.winograd is not None) is winograd
+        assert (weights.f32 is None) is winograd
+        assert weights.num_outputs == 8
+        images = _random_bipolar(make_rng(stride), (2, 64, 6, 6))
+        got = fused_conv2d_sign(PackedTensor.from_bipolar(images), weights,
+                                3, stride=stride, padding=1, kernel="blas")
+        assert np.array_equal(got, binary_conv2d(
+            images, conv.binary_weight, stride=stride, padding=1))
+
+    def test_winograd_only_operand_refuses_im2col(self):
+        kernels = _random_bipolar(make_rng(8), (4, 64, 3, 3))
+        x = PackedTensor.from_bipolar(
+            _random_bipolar(make_rng(9), (1, 64, 5, 5)))
+        with pytest.raises(ValueError, match="stride=2"):
+            fused_conv2d_sign(x, pack_conv_weights(kernels), 3, stride=2,
+                              kernel="blas")
+        strided = pack_conv_weights(kernels, stride=2)
+        assert np.array_equal(
+            fused_conv2d_sign(x, strided, 3, stride=2, kernel="blas"),
+            binary_conv2d(x.to_bipolar(), kernels, stride=2))
 
 
 class TestBatchNormFolding:

@@ -11,16 +11,21 @@ rows.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import pickle
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.eval import columnar
 from repro.eval.columnar import (
     ColumnarStore,
     CorruptSegmentError,
+    SegmentInfo,
     SWEEP_RECORD_DTYPE,
     array_to_sweep_records,
     iter_sweep_rows,
@@ -284,3 +289,182 @@ def test_column_wise_decode_matches_row_wise_reference():
     assert got[0][1].noise_sigma is None and got[0][1].popcount_error is None
     assert got[2][1].noise_sigma == 0.0 and got[3][1].popcount_error == 0.0
     assert array_to_sweep_records(arr[:0]) == []
+
+
+def _npy(arr, version=None, allow_pickle=False) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, arr, version=version,
+                              allow_pickle=allow_pickle)
+    return buffer.getvalue()
+
+
+def _install_segment(store, member: bytes, rows: int) -> SegmentInfo:
+    """Publish hand-made ``records.npy`` bytes with a matching checksum."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("records.npy", member)
+    blob = buffer.getvalue()
+    digest = hashlib.sha256(blob).hexdigest()
+    segment = SegmentInfo(name=f"seg-{len(store.segments()):07d}-"
+                               f"{digest[:8]}.npz", rows=rows, sha256=digest)
+    with open(os.path.join(store.root, segment.name), "wb") as handle:
+        handle.write(blob)
+    store._write_manifest(store.segments() + [segment])
+    return segment
+
+
+#: set by :class:`_Unpickled` if anything ever unpickles one
+_UNPICKLED = []
+
+
+def _note_unpickled():
+    _UNPICKLED.append(True)
+    return "unpickled"
+
+
+class _Unpickled:
+    def __reduce__(self):
+        return _note_unpickled, ()
+
+
+class TestSegmentDecoder:
+    """The in-house ``.npy`` decoder reads what ``np.load`` reads."""
+
+    ARRAYS = [
+        sweep_records_to_array(_pairs([_record(), _record(noise_sigma=None)])),
+        np.array([(1.5, -2), (np.nan, 7)],
+                 dtype=[("value", ">f8"), ("count", "<i4")]),
+        np.arange(24, dtype=np.int16).reshape(2, 3, 4),
+        np.empty((0, 3), dtype=np.float32),
+        np.array(["Ünïcødé", "网"], dtype="U8"),
+        np.asfortranarray(np.arange(6, dtype=np.float64).reshape(2, 3)),
+        np.float64(2.5).reshape(()),
+    ]
+
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
+    @pytest.mark.parametrize("index", range(len(ARRAYS)))
+    def test_header_versions_decode_like_np_load(self, tmp_path, version,
+                                                 index):
+        arr = self.ARRAYS[index]
+        member = _npy(arr, version=version)
+        want = np.load(io.BytesIO(member))
+        store = ColumnarStore(str(tmp_path / "columnar"))
+        _install_segment(store, member, rows=len(arr) if arr.ndim else 1)
+        for got in (columnar._decode_npy(member, "seg"),
+                    *store.iter_segments()):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+            assert got.flags.writeable
+            got[...] = want  # writable, and owned: the member is untouched
+            assert np.load(io.BytesIO(member)).tobytes() == want.tobytes()
+
+    def test_each_distinct_header_is_parsed_once(self, tmp_path):
+        store = ColumnarStore(str(tmp_path / "columnar"))
+        for start in range(0, 6, 2):
+            store.append(sweep_records_to_array(_pairs(
+                [_record(crossbar_size=size)
+                 for size in (start, start + 1)])))
+        columnar._parse_npy_header.cache_clear()
+        for _ in range(2):
+            assert len(store.published_identities()) == 2
+            assert len(list(iter_sweep_rows(store))) == 6
+        info = columnar._parse_npy_header.cache_info()
+        assert (info.misses, info.hits) == (1, 11)
+
+    @pytest.mark.parametrize("version", [(1, 0), (3, 0)])
+    @pytest.mark.parametrize("dtype", [object, [("identity", "U64"),
+                                                ("payload", object)]])
+    def test_object_dtype_is_refused_never_unpickled(self, tmp_path,
+                                                     version, dtype):
+        arr = np.empty(2, dtype=dtype)
+        if arr.dtype.names:
+            arr["payload"] = [_Unpickled(), _Unpickled()]
+        else:
+            arr[:] = [_Unpickled(), _Unpickled()]
+        member = _npy(arr, version=version, allow_pickle=True)
+        store = ColumnarStore(str(tmp_path / "columnar"))
+        _install_segment(store, member, rows=2)
+        del _UNPICKLED[:]
+        with pytest.raises(ValueError, match="allow_pickle=False"):
+            list(store.iter_segments())
+        with pytest.raises(ValueError, match="allow_pickle=False"):
+            store.published_identities()
+        assert _UNPICKLED == []
+        # the checksum matches, so an integrity scan passes it
+        assert store.scan().ok == (store.segments()[0].name,)
+
+    @pytest.mark.parametrize("cut", [1, 100, -8])
+    def test_wrong_length_member_raises(self, tmp_path, cut):
+        """Checksum-valid bytes whose data section is short (or long)."""
+        arr = sweep_records_to_array(_pairs([_record(), _record()]))
+        member = _npy(arr)
+        member = member[:-cut] if cut > 0 else member + b"\0" * -cut
+        store = ColumnarStore(str(tmp_path / "columnar"))
+        _install_segment(store, member, rows=2)
+        with pytest.raises(CorruptSegmentError, match="array bytes"):
+            list(store.iter_segments())
+
+    @pytest.mark.parametrize("arr,version", [
+        (np.arange(3.0), (3, 0)),
+        (np.asfortranarray(np.arange(6.0).reshape(2, 3)), (1, 0)),
+    ])
+    def test_other_members_fall_back_to_np_load(self, monkeypatch, arr,
+                                                version):
+        member = _npy(arr, version=version)
+        calls = []
+        real = np.load
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(columnar.np, "load", spy)
+        assert np.array_equal(columnar._decode_npy(member, "seg"), arr)
+        assert calls == [{"allow_pickle": False}]
+
+    def test_scan_repair_checks_checksums_only(self, tmp_path, monkeypatch):
+        """A torn tail and an orphan still quarantine; a parse is never
+        needed to tell them apart from good segments."""
+        store = ColumnarStore(str(tmp_path / "columnar"))
+        pairs = _pairs([_record(), _record(crossbar_size=256)])
+        store.append(sweep_records_to_array(pairs[:1]))
+        tail = store.append(sweep_records_to_array(pairs[1:]))
+        tail_path = os.path.join(store.root, tail.name)
+        with open(tail_path, "rb") as handle:
+            blob = handle.read()
+        with open(tail_path, "wb") as handle:
+            handle.write(blob[:-1])
+        orphan = "seg-0000009-0badf00d.npz"
+        with open(os.path.join(store.root, orphan), "wb") as handle:
+            handle.write(blob)
+
+        def no_parse(*args):
+            raise AssertionError("scan parsed a segment")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(columnar, "_decode_npy", no_parse)
+            report = store.scan(repair=True)
+        assert report.corrupt == (tail.name,)
+        assert report.orphans == (orphan,)
+        assert report.quarantined == (tail.name, orphan)
+        assert sorted(os.listdir(os.path.join(store.root, "quarantine"))) \
+            == sorted([tail.name, orphan])
+        assert store.published_identities() == {pairs[0][0]}
+
+
+def test_append_reads_the_manifest_once(tmp_path, monkeypatch):
+    store = ColumnarStore(str(tmp_path / "columnar"))
+    store.append(sweep_records_to_array(_pairs([_record()])))
+    reads = []
+    real = ColumnarStore._read_manifest
+
+    def counted(self):
+        reads.append(1)
+        return real(self)
+
+    monkeypatch.setattr(ColumnarStore, "_read_manifest", counted)
+    segment = store.append(sweep_records_to_array(_pairs([_record()])))
+    assert len(reads) == 1
+    assert segment.name.startswith("seg-0000001-")
+    assert [entry.name for entry in store.segments()][-1] == segment.name
