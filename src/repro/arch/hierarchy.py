@@ -226,7 +226,8 @@ class EinsteinBarrierSystem:
         sizing.  Only :func:`provision` reads ``vcores_per_ecore``,
         ``ecores_per_tile`` and ``tiles_per_node``, so a caller that sizes
         one design many ways computes the footprint once and provisions it
-        per sizing — the design-space sweep does exactly that.
+        per sizing — the design-space sweep does that arithmetic inline
+        (:func:`repro.eval.sweep.evaluate_point`).
         """
         return provision(self.footprint(workload), self.config)
 

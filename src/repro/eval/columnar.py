@@ -276,6 +276,13 @@ def _decode_npy(member: bytes, name: str) -> np.ndarray:
     return np.load(io.BytesIO(member), allow_pickle=False)
 
 
+def _decode_segment(blob: bytes, name: str) -> np.ndarray:
+    """The records array of one segment's (checksum-verified) bytes."""
+    with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+        member = archive.read(_ARRAY_MEMBER)
+    return _decode_npy(member, name)
+
+
 @dataclass(frozen=True)
 class SegmentInfo:
     """One manifest entry: an immutable, checksummed segment."""
@@ -469,13 +476,6 @@ class ColumnarStore:
             )
         return blob
 
-    def _load_segment(self, segment: SegmentInfo) -> np.ndarray:
-        """Verify one segment's checksum, then decode its records array."""
-        blob = self._read_verified(segment)
-        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
-            member = archive.read(_ARRAY_MEMBER)
-        return _decode_npy(member, segment.name)
-
     def iter_segments(self) -> Iterator[np.ndarray]:
         """Stream segment arrays in append order (one in memory at a time).
 
@@ -484,7 +484,7 @@ class ColumnarStore:
         yielding garbage rows.
         """
         for segment in self.segments():
-            yield self._load_segment(segment)
+            yield _decode_segment(self._read_verified(segment), segment.name)
 
     def iter_rows(self) -> Iterator[np.void]:
         """Stream individual rows across all segments, in append order."""
@@ -504,7 +504,8 @@ class ColumnarStore:
         return identities
 
     # -- integrity --------------------------------------------------------
-    def scan(self, *, repair: bool = False) -> ScanReport:
+    def scan(self, *, repair: bool = False,
+             identities: Optional[Set[str]] = None) -> ScanReport:
         """Verify every segment's checksum; optionally quarantine the damage.
 
         Each segment is read and its SHA-256 compared with the manifest;
@@ -519,6 +520,11 @@ class ColumnarStore:
         dropped — and the manifest is rewritten to the surviving
         entries; their rows recompute on the next resume because their
         identities are no longer published.
+
+        ``identities``, when given, receives the identities of every
+        segment that passes its checksum, decoded from the read the
+        checksum took: after a repair, what :meth:`published_identities`
+        returns, with each segment read once.
         """
         ok: List[str] = []
         corrupt: List[str] = []
@@ -528,12 +534,15 @@ class ColumnarStore:
         for segment in self.segments():
             listed.add(segment.name)
             try:
-                self._read_verified(segment)
+                blob = self._read_verified(segment)
             except CorruptSegmentError:
                 corrupt.append(segment.name)
-            else:
-                ok.append(segment.name)
-                survivors.append(segment)
+                continue
+            ok.append(segment.name)
+            survivors.append(segment)
+            if identities is not None:
+                identities.update(
+                    _decode_segment(blob, segment.name)["identity"].tolist())
         orphans = [name for name in self._segment_files_on_disk()
                    if name not in listed]
         if repair and (corrupt or orphans):

@@ -17,10 +17,10 @@ wrong at 10^7.  This module is the at-scale path:
   killed, the grid was extended, or the same sweep was submitted twice.
 * Drained partitions fold into the root's **append-only columnar store**
   (:mod:`repro.eval.columnar`) one segment per partition, and the final
-  :class:`~repro.eval.sweep.SweepResult` is assembled by a
-  **tree-structured merge** of the per-segment record runs — segments
-  stream one at a time and merge pairwise, so aggregation never needs
-  the queue namespaces again (they are retired as they drain).
+  :class:`~repro.eval.sweep.SweepResult` is assembled in **one pass**
+  over the segments, each row placed at its grid position — segments
+  stream one at a time, so aggregation never needs the queue namespaces
+  again (they are retired as they drain).
 
 Crash safety follows one ordering rule: a partition's results are read
 from the queue, durably appended to the columnar store, and only then is
@@ -247,8 +247,9 @@ def prepare_sweep(grid: SweepGrid, root: str, *,
     twice enqueues nothing the second time.  Steps, in order:
 
     1. open the columnar store (archiving it wholesale on a schema
-       bump) and ``scan(repair=True)`` — torn/orphan segments are
-       quarantined *before* their identities could mask recompute;
+       bump) and ``scan(repair=True)``, which reads each segment once to
+       verify it and take its identities — torn/orphan segments are
+       quarantined and contribute none, so they cannot mask recompute;
     2. salvage leftover ``part-*`` namespaces of an interrupted run
        (durable append first, namespace removal second);
     3. plan: skip published identities, split the rest into at most
@@ -264,8 +265,8 @@ def prepare_sweep(grid: SweepGrid, root: str, *,
     """
     backend = resolve_store(store)
     columnar = columnar_store(root, schema_version=schema_version)
-    columnar.scan(repair=True)
-    published = columnar.published_identities()
+    published: Set[str] = set()
+    columnar.scan(repair=True, identities=published)
     _salvage_partitions(root, columnar, published, backend=backend)
     plan = plan_shards(grid, partitions=partitions, published=published,
                        schema_version=schema_version)
@@ -353,36 +354,8 @@ def run_sharded_sweep(grid: SweepGrid, root: str, *,
 
 
 # --------------------------------------------------------------------------- #
-# Tree-structured aggregation out of the columnar store
+# Aggregation out of the columnar store
 # --------------------------------------------------------------------------- #
-
-_Run = List[Tuple[int, SweepRecord]]
-
-
-def _merge_runs(left: _Run, right: _Run) -> _Run:
-    """Merge two grid-position-sorted runs, deduplicating by position.
-
-    Duplicates (one identity published twice across segments) collapse
-    to the first occurrence — byte-identical anyway by the determinism
-    contract.
-    """
-    merged: _Run = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i][0] < right[j][0]:
-            merged.append(left[i])
-            i += 1
-        elif right[j][0] < left[i][0]:
-            merged.append(right[j])
-            j += 1
-        else:
-            merged.append(left[i])
-            i += 1
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged
-
 
 def aggregate_sweep(root: str, grid: SweepGrid, *,
                     schema_version: int = RECORD_SCHEMA_VERSION,
@@ -390,14 +363,15 @@ def aggregate_sweep(root: str, grid: SweepGrid, *,
                     ) -> SweepResult:
     """Assemble the final :class:`SweepResult` from the columnar store.
 
-    Segments stream one at a time; each contributes one run of records
-    sorted by grid position, and the runs merge **pairwise in rounds**
-    (a tree, not a left fold) until one remains — O(n log s) comparisons
-    over s segments, and at no point is more than the merge frontier in
-    memory on top of one decoded segment.  Rows whose identity is not in
-    the current grid (a superseded schema, a shrunk grid) are ignored;
-    a grid point with *no* published row fails loudly with the resume
-    instruction instead of returning a silently-partial result.
+    Segments stream one at a time, in append order, and each row lands
+    at its identity's grid position in one list sized to the grid; an
+    identity published twice (across segments or within one) keeps its
+    first row — byte-identical anyway by the determinism contract.  At
+    no point is more than that list and one decoded segment in memory.
+    Rows whose identity is not in the current grid (a superseded schema,
+    a shrunk grid) are ignored; a grid point with *no* published row
+    fails loudly with the resume instruction instead of returning a
+    silently-partial result.
 
     ``identified`` is the grid's :func:`identified_points` when the
     caller already has them (a :class:`ShardPlan` does); they are
@@ -415,33 +389,25 @@ def aggregate_sweep(root: str, grid: SweepGrid, *,
     position: Dict[str, int] = {
         identity: index for index, (identity, _) in enumerate(identified)
     }
-    runs: List[_Run] = []
+    records: List[Optional[SweepRecord]] = [None] * len(identified)
+    filled = 0
     for arr in columnar.iter_segments():
-        run = sorted(
-            ((position[identity], record)
-             for identity, record in array_to_sweep_records(arr)
-             if identity in position),
-            key=lambda item: item[0],
-        )
-        if run:
-            runs.append(run)
-    while len(runs) > 1:
-        paired: List[_Run] = []
-        for k in range(0, len(runs) - 1, 2):
-            paired.append(_merge_runs(runs[k], runs[k + 1]))
-        if len(runs) % 2:
-            paired.append(runs[-1])
-        runs = paired
-    merged: _Run = runs[0] if runs else []
-    if len(merged) != len(position):
-        missing = len(position) - len(merged)
+        for identity, record in array_to_sweep_records(arr):
+            index = position.get(identity)
+            if index is not None and records[index] is None:
+                records[index] = record
+                filled += 1
+    if filled != len(position):
+        missing = len(position) - filled
         raise RuntimeError(
             f"sweep at {root!r} has {missing} of {len(position)} grid "
             f"points unpublished — the sweep is incomplete; resume it "
             f"with run_sharded_sweep(grid, {root!r})"
         )
-    return SweepResult(grid=grid,
-                       records=[record for _, record in merged])
+    if len(position) < len(records):
+        # a grid listing one point twice: every copy reads the one row
+        records = [records[position[identity]] for identity, _ in identified]
+    return SweepResult(grid=grid, records=records)
 
 
 # --------------------------------------------------------------------------- #

@@ -19,14 +19,12 @@ This module provides that as a small subsystem:
 
   - workloads: :func:`repro.bnn.workload.get_workload`, derived from the
     networks' shape table without allocating weights;
-  - configs: one per design configuration, hierarchy sizing included; a
-    sized config is the default-sizing config with the sizing overridden;
-  - accelerator models: one per design configuration at the default
-    hierarchy sizing (the sweep builds none per sizing);
+  - configs and accelerator models: one per design configuration at the
+    default hierarchy sizing;
   - reports: per network and default-sizing configuration, the cost (the
     compiled program, latency, energy and the allocation's footprint);
-    per hierarchy sizing, that cost with its allocation re-provisioned
-    by arithmetic (:func:`repro.arch.hierarchy.provision`);
+    each hierarchy sizing is arithmetic on that cost in
+    :func:`evaluate_point` — no config, model or report per sizing;
   - layer schedules: :mod:`repro.core.schedule`.
 * :class:`SweepRecord` / :class:`SweepResult` — structured results with a
   JSON-ready payload (:meth:`SweepResult.to_payload`,
@@ -48,8 +46,9 @@ utilisation) in every record.
 
 Determinism: every stochastic quantity (the optional popcount-error metric,
 the accuracy scenario's training/noise streams) is seeded per grid point
-with :func:`repro.utils.rng.derive_seed`, so results are identical
-run-to-run and independent of worker count or execution order.
+with :func:`repro.utils.rng.derive_seed` (a grid derives all of its point
+seeds in one :func:`repro.utils.rng.derive_seeds` pass), so results are
+identical run-to-run and independent of worker count or execution order.
 
 Example
 -------
@@ -62,6 +61,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
@@ -75,7 +75,6 @@ from repro.arch.config import (
     einsteinbarrier_config,
     tacitmap_epcm_config,
 )
-from repro.arch.hierarchy import provision
 from repro.bnn.datasets import load_dataset
 from repro.bnn.model import BNNModel, InferenceEngine
 from repro.bnn.networks import build_network, dataset_for_network
@@ -84,7 +83,7 @@ from repro.bnn.workload import get_workload
 from repro.eval.robustness import popcount_error_rate, popcount_flip_rate_fn
 from repro.eval.reporting import write_json_report
 from repro.runtime.executors import Executor, resolve_executor
-from repro.utils.rng import derive_seed
+from repro.utils.rng import derive_seed, derive_seeds
 
 #: config factory per design key (the paper's three evaluated designs)
 DESIGN_FACTORIES = {
@@ -159,7 +158,9 @@ def _sized_config(key: _ModelKey) -> AcceleratorConfig:
     The factory builds the configuration at the default hierarchy sizing;
     every other sizing is that configuration with the explicit
     ``vcores_per_ecore`` / ``ecores_per_tile`` / ``tiles_per_node`` values
-    overridden, which is what the factory's own keywords produce.
+    overridden, which is what the factory's own keywords produce.  The
+    sweep asks only for default sizings; a sized key comes from
+    :func:`get_accelerator_model` with explicit sizing keywords.
     """
     config = _CONFIG_CACHE.get(key)
     if config is None:
@@ -207,7 +208,7 @@ def get_accelerator_model(design: str, *, crossbar_size: int = 256,
     the factory default, and explicit values apply only to the PUMA-like
     designs in :data:`HIERARCHY_DESIGNS`.  The sweep itself asks only for
     models at the default sizing: it sizes them by arithmetic
-    (see :func:`_cached_report`).
+    (see :func:`evaluate_point`).
     """
     if design not in DESIGN_FACTORIES:
         raise ValueError(
@@ -220,32 +221,18 @@ def get_accelerator_model(design: str, *, crossbar_size: int = 256,
 
 
 def _cached_report(key: _ModelKey, network: str) -> InferenceReport:
-    """One grid point's report, computing each cost once per process.
+    """The report of ``network`` on one model key, computed once per process.
 
-    The compiler and the latency and energy models read the design, the
-    crossbar size, the WDM capacity and the ADC sharing, but never the
-    hierarchy sizing (``vcores_per_ecore``, ``ecores_per_tile``,
-    ``tiles_per_node``), and neither does the allocation's footprint.  So
-    the cost is the report of the model at the default sizing, and every
-    other sizing re-provisions that report's allocation for its own
-    config — arithmetic on the cached footprint, with no model and no
-    network schedule per sizing.
+    The sweep asks only for hierarchy-free keys (see :func:`_unsized`):
+    the compiler, the latency and energy models and the allocation's
+    footprint never read the hierarchy sizing, so one report is the cost
+    of every sizing, and :func:`evaluate_point` provisions each sizing by
+    arithmetic on it.
     """
     report = _REPORT_CACHE.get((key, network))
     if report is None:
-        if key[-1] == _DEFAULT_HIERARCHY:
-            report = _model(key).run_inference(get_workload(network))
-        else:
-            cost = _cached_report(_unsized(key), network)
-            report = InferenceReport(
-                design_name=cost.design_name,
-                network_name=cost.network_name,
-                latency=cost.latency,
-                energy=cost.energy,
-                allocation=provision(cost.allocation, _sized_config(key)),
-                program=cost.program,
-            )
-        _REPORT_CACHE[(key, network)] = report
+        report = _REPORT_CACHE[(key, network)] = \
+            _model(key).run_inference(get_workload(network))
     return report
 
 
@@ -379,10 +366,12 @@ class SweepGrid:
         they do not apply to.  Point seeds are salted with the axis values;
         the salt of a point whose new axes sit at their defaults is
         identical to the pre-extension salt, so adding axes to the grid
-        never reshuffles existing points' derived seeds.
+        never reshuffles existing points' derived seeds.  All seeds are
+        derived at once (:func:`repro.utils.rng.derive_seeds`).
         """
         sigmas: Tuple[Optional[float], ...] = self.noise_sigmas or (None,)
-        specs: List[SweepPointSpec] = []
+        rows: List[tuple] = []
+        salts: List[str] = []
         for network in self.networks:
             for design in self.designs:
                 capacities = (
@@ -407,39 +396,26 @@ class SweepGrid:
                 )
                 for (size, capacity, cols, hierarchy, sigma, thermal,
                      shot, alpha) in axes:
-                    specs.append(self._point(
-                        network, design, size, capacity, cols, hierarchy,
-                        sigma, thermal, shot, alpha,
-                    ))
-        return specs
-
-    def _point(self, network: str, design: str, size: int, capacity: int,
-               cols: Optional[int], hierarchy: Hierarchy,
-               sigma: Optional[float], thermal: float,
-               shot: float, alpha: float) -> "SweepPointSpec":
-        salt = f"{network}/{design}/{size}/{capacity}/{sigma}"
-        if (thermal, shot, alpha, cols) != (0.0, 0.0, 0.0, None):
-            salt += f"/{thermal}/{shot}/{alpha}/{cols}"
-        if hierarchy != _DEFAULT_HIERARCHY:
-            salt += f"/h{hierarchy[0]}/{hierarchy[1]}/{hierarchy[2]}"
-        return SweepPointSpec(
-            network=network,
-            design=design,
-            crossbar_size=size,
-            wdm_capacity=capacity,
-            columns_per_adc=cols,
-            vcores_per_ecore=hierarchy[0],
-            ecores_per_tile=hierarchy[1],
-            tiles_per_node=hierarchy[2],
-            noise_sigma=sigma,
-            thermal_sigma=thermal,
-            shot_factor=shot,
-            ir_drop_alpha=alpha,
-            noise_trials=self.noise_trials,
-            noise_vector_length=self.noise_vector_length,
-            noise_num_outputs=self.noise_num_outputs,
-            seed=derive_seed(self.seed, salt),
-        )
+                    salt = f"{network}/{design}/{size}/{capacity}/{sigma}"
+                    if (thermal, shot, alpha, cols) != (0.0, 0.0, 0.0, None):
+                        salt += f"/{thermal}/{shot}/{alpha}/{cols}"
+                    if hierarchy != _DEFAULT_HIERARCHY:
+                        salt += (f"/h{hierarchy[0]}/{hierarchy[1]}"
+                                 f"/{hierarchy[2]}")
+                    salts.append(salt)
+                    rows.append((network, design, size, capacity, sigma,
+                                 cols, hierarchy, thermal, shot, alpha))
+        noise_sizes = (self.noise_trials, self.noise_vector_length,
+                       self.noise_num_outputs)
+        # positional, in SweepPointSpec field order
+        return [
+            SweepPointSpec(network, design, size, capacity, sigma,
+                           *noise_sizes, seed, cols, *hierarchy, thermal,
+                           shot, alpha)
+            for (network, design, size, capacity, sigma, cols, hierarchy,
+                 thermal, shot, alpha), seed
+            in zip(rows, derive_seeds(self.seed, salts))
+        ]
 
 
 @dataclass(frozen=True)
@@ -518,9 +494,17 @@ class SweepRecord:
 
 
 def evaluate_point(spec: SweepPointSpec) -> SweepRecord:
-    """Evaluate one grid point (deterministic given the spec)."""
-    key = _model_key(spec.design, spec.crossbar_size, spec.wdm_capacity,
-                     spec.columns_per_adc, spec.hierarchy)
+    """Evaluate one grid point (deterministic given the spec).
+
+    The point's cost is the cached report of its hierarchy-free key; its
+    sizing only provisions that cost, with the expressions of
+    :func:`repro.arch.hierarchy.provision`: whole nodes of
+    ``tiles_per_node * ecores_per_tile * vcores_per_ecore`` VCores, at
+    least one.
+    """
+    design = spec.design
+    key = _model_key(design, spec.crossbar_size, spec.wdm_capacity,
+                     spec.columns_per_adc, _DEFAULT_HIERARCHY)
     report = _cached_report(key, spec.network)
     baseline = _cached_report(
         _model_key("baseline_epcm", spec.crossbar_size, 1, None,
@@ -528,6 +512,20 @@ def evaluate_point(spec: SweepPointSpec) -> SweepRecord:
         spec.network,
     )
     config = _sized_config(key)
+    v, e, t = _effective_hierarchy(design, spec.hierarchy)
+    v = config.vcores_per_ecore if v is None else v
+    e = config.ecores_per_tile if e is None else e
+    t = config.tiles_per_node if t is None else t
+    if min(v, e, t) < 1:
+        raise ValueError(
+            f"hierarchy sizing {(v, e, t)} of {design} must be >= 1")
+    vcores_required = report.allocation.vcores_required
+    vcores_per_node = t * (e * v)
+    nodes_required = max(math.ceil(vcores_required / vcores_per_node), 1)
+    node_utilisation = (
+        0.0 if vcores_required <= 0
+        else vcores_required / (nodes_required * vcores_per_node)
+    )
     popcount_error: Optional[float] = None
     if spec.has_functional_noise:
         popcount_error = popcount_error_rate(
@@ -541,27 +539,16 @@ def evaluate_point(spec: SweepPointSpec) -> SweepRecord:
             trials=spec.noise_trials,
             rng=spec.seed,
         )
+    latency = report.latency.total
+    energy = report.energy.total
+    # positional, in SweepRecord field order
     return SweepRecord(
-        network=spec.network,
-        design=spec.design,
-        crossbar_size=spec.crossbar_size,
-        wdm_capacity=spec.wdm_capacity,
-        noise_sigma=spec.noise_sigma,
-        latency_s=report.latency.total,
-        energy_j=report.energy.total,
-        speedup_vs_baseline=baseline.latency.total / report.latency.total,
-        energy_ratio_vs_baseline=report.energy.total / baseline.energy.total,
-        popcount_error=popcount_error,
-        columns_per_adc=config.tile.columns_per_adc,
-        thermal_sigma=spec.thermal_sigma,
-        shot_factor=spec.shot_factor,
-        ir_drop_alpha=spec.ir_drop_alpha,
-        vcores_per_ecore=config.vcores_per_ecore,
-        ecores_per_tile=config.ecores_per_tile,
-        tiles_per_node=config.tiles_per_node,
-        vcores_required=report.allocation.vcores_required,
-        nodes_required=report.allocation.nodes_required,
-        node_utilisation=report.allocation.node_utilisation,
+        spec.network, design, spec.crossbar_size, spec.wdm_capacity,
+        spec.noise_sigma, latency, energy,
+        baseline.latency.total / latency, energy / baseline.energy.total,
+        popcount_error, config.tile.columns_per_adc, spec.thermal_sigma,
+        spec.shot_factor, spec.ir_drop_alpha, v, e, t, vcores_required,
+        nodes_required, node_utilisation,
     )
 
 

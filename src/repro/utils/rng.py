@@ -10,7 +10,7 @@ single place.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,16 +58,53 @@ def _base_draw(seed: Optional[int]) -> int:
     return int(make_rng(seed).integers(0, 2**31 - 1))
 
 
-def derive_seed(seed: RngLike, salt: str) -> int:
-    """Derive a reproducible integer seed from ``seed`` and a string salt.
+def _salt_sums(salts: Sequence[str]) -> np.ndarray:
+    """``sum(ord(c) * (i + 1) for i, c in enumerate(salt)) % 2**31`` per salt.
 
-    For ``None`` and integer seeds the base draw depends on the seed alone,
-    so it is memoised; a :class:`numpy.random.Generator` is drawn from (and
-    advanced) on every call.
+    One numpy pass over all salts: their UTF-32 code points, each weighted
+    by its 1-based position inside its own salt, one running sum, and the
+    differences of that sum at the salt boundaries.  The int64 products and
+    sums may wrap, but wrapping is modulo 2**64, a multiple of 2**31, so the
+    low 31 bits kept here are exact for salts of any length.
+    """
+    lengths = np.fromiter(map(len, salts), dtype=np.int64, count=len(salts))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # codes[k] is the k-th code point of the concatenated salts (1-based;
+    # codes[0] = 0 starts the running sum), weighted by k minus the start
+    # of its salt
+    codes = np.zeros(int(lengths.sum()) + 1, dtype=np.int64)
+    codes[1:] = np.frombuffer(
+        "".join(salts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32,
+    )
+    weights = np.arange(codes.size, dtype=np.int64)
+    weights[1:] -= np.repeat(starts, lengths)
+    codes *= weights
+    np.cumsum(codes, out=codes)
+    return (codes[ends] - codes[starts]) & (2**31 - 1)
+
+
+def derive_seeds(seed: RngLike, salts: Sequence[str]) -> List[int]:
+    """``[derive_seed(seed, salt) for salt in salts]``, in one pass.
+
+    A :class:`numpy.random.Generator` seed is drawn from once per salt, in
+    order, exactly as the repeated calls would draw from it.
     """
     if seed is None or isinstance(seed, (int, np.integer)):
         base = _base_draw(None if seed is None else int(seed))
-    else:
-        base = int(make_rng(seed).integers(0, 2**31 - 1))
-    salt_value = sum(ord(c) * (i + 1) for i, c in enumerate(salt)) % (2**31)
-    return base ^ salt_value
+        return (_salt_sums(salts) ^ base).tolist()
+    rng = make_rng(seed)
+    return [int(rng.integers(0, 2**31 - 1)) ^ salt_sum
+            for salt_sum in _salt_sums(salts).tolist()]
+
+
+def derive_seed(seed: RngLike, salt: str) -> int:
+    """Derive a reproducible integer seed from ``seed`` and a string salt.
+
+    The seed is a base draw of ``seed`` XOR a position-weighted character
+    sum of ``salt`` (see :func:`derive_seeds` for many salts at once).  For
+    ``None`` and integer seeds the base draw depends on the seed alone, so
+    it is memoised; a :class:`numpy.random.Generator` is drawn from (and
+    advanced) on every call.
+    """
+    return derive_seeds(seed, (salt,))[0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -17,8 +18,7 @@ from repro.eval.sweep import (
     DESIGN_FACTORIES,
     AccuracySweepGrid,
     SweepGrid,
-    _cached_report,
-    _model_key,
+    SweepPointSpec,
     clear_sweep_caches,
     evaluate_point,
     get_accelerator_model,
@@ -89,6 +89,52 @@ class TestSweepGrid:
     def test_points_are_seeded_distinctly(self, small_grid):
         seeds = [p.seed for p in small_grid.points()]
         assert len(set(seeds)) == len(seeds)
+
+    def test_point_seeds_equal_per_point_derive_seed(self):
+        """Every salt suffix: read noise, the dense axes, ADC, hierarchy."""
+        grid = SweepGrid(
+            networks=("MLP-S", "CNN-S"), designs=tuple(DESIGN_FACTORIES),
+            crossbar_sizes=(64, 256), wdm_capacities=(1, 16),
+            noise_sigmas=(0.0, 0.01), thermal_sigmas=(0.0, 0.02),
+            shot_factors=(0.0, 0.5), ir_drop_alphas=(0.0, 0.1),
+            columns_per_adc=(None, 2), vcores_per_ecore=(None, 2),
+            ecores_per_tile=(None, 4), tiles_per_node=(None, 1), seed=99,
+        )
+        points = grid.points()
+        suffixes = set()
+        for p in points:
+            salt = (f"{p.network}/{p.design}/{p.crossbar_size}/"
+                    f"{p.wdm_capacity}/{p.noise_sigma}")
+            dense = (p.thermal_sigma, p.shot_factor, p.ir_drop_alpha,
+                     p.columns_per_adc)
+            if dense != (0.0, 0.0, 0.0, None):
+                salt += "/{}/{}/{}/{}".format(*dense)
+            if p.hierarchy != (None, None, None):
+                salt += "/h{}/{}/{}".format(*p.hierarchy)
+            suffixes.add((dense != (0.0, 0.0, 0.0, None),
+                          p.hierarchy != (None, None, None)))
+            assert p.seed == derive_seed(99, salt)
+        assert suffixes == {(False, False), (True, False), (False, True),
+                            (True, True)}
+
+    def test_points_carry_every_axis_value(self):
+        grid = SweepGrid(networks=("MLP-S",), designs=("einsteinbarrier",),
+                         crossbar_sizes=(64,), wdm_capacities=(4,),
+                         noise_sigmas=(0.01,), thermal_sigmas=(0.02,),
+                         shot_factors=(0.5,), ir_drop_alphas=(0.1,),
+                         columns_per_adc=(2,), vcores_per_ecore=(3,),
+                         ecores_per_tile=(5,), tiles_per_node=(7,),
+                         noise_trials=6, noise_vector_length=40,
+                         noise_num_outputs=9, seed=4)
+        (point,) = grid.points()
+        assert point == SweepPointSpec(
+            network="MLP-S", design="einsteinbarrier", crossbar_size=64,
+            wdm_capacity=4, noise_sigma=0.01, noise_trials=6,
+            noise_vector_length=40, noise_num_outputs=9, seed=point.seed,
+            columns_per_adc=2, vcores_per_ecore=3, ecores_per_tile=5,
+            tiles_per_node=7, thermal_sigma=0.02, shot_factor=0.5,
+            ir_drop_alpha=0.1,
+        )
 
     @pytest.mark.parametrize("kwargs", [
         {},
@@ -655,11 +701,9 @@ class TestCostReuse:
                          p.columns_per_adc) for p in points}
         cost_keys = {(p.network, p.design, p.crossbar_size, p.wdm_capacity,
                       p.columns_per_adc) for p in points}
-        sized_keys = {(p.design, p.crossbar_size, p.wdm_capacity,
-                       p.columns_per_adc, p.hierarchy) for p in points
-                      if p.hierarchy != (None, None, None)}
         assert (len(unsized_keys), len(cost_keys)) == (7, 14)
-        expected = (len(unsized_keys), len(cost_keys), len(sized_keys))
+        assert any(p.hierarchy != (None, None, None) for p in points)
+        expected = (len(unsized_keys), len(cost_keys), 0)
 
         def counts():
             return len(inits), len(schedules), len(overrides)
@@ -669,7 +713,7 @@ class TestCostReuse:
         clear_sweep_caches()
         first = run_sweep(reuse_grid, backend="serial").records
         # one model per hierarchy-free key, one network schedule per cost;
-        # each sizing is its default config with the sizing overridden
+        # no sizing builds a config: it is arithmetic on the cost
         assert counts() == expected
         assert run_sweep(reuse_grid, backend="serial").records == first
         assert counts() == expected
@@ -684,7 +728,7 @@ HIERARCHY_FIELDS = ("vcores_per_ecore", "ecores_per_tile", "tiles_per_node")
 
 
 class TestSizingArithmetic:
-    """The sweep sizes each design by re-provisioning one cached footprint."""
+    """The sweep provisions each sizing by arithmetic on one cached cost."""
 
     @pytest.mark.parametrize("design, crossbar_size, wdm_capacity", [
         ("tacitmap_epcm", 64, 1), ("tacitmap_epcm", 256, 1),
@@ -697,20 +741,80 @@ class TestSizingArithmetic:
         base = {"crossbar_size": crossbar_size}
         if design == "einsteinbarrier":
             base["wdm_capacity"] = wdm_capacity
+        # every SIZINGS component, plus None for the factory default
+        axes = [(None,) + tuple(sorted({s[i] for s in SIZINGS}))
+                for i in range(3)]
+        grid = SweepGrid(networks=tuple(list_networks()), designs=(design,),
+                         crossbar_sizes=(crossbar_size,),
+                         wdm_capacities=(wdm_capacity,),
+                         **dict(zip(HIERARCHY_FIELDS, axes)))
         clear_sweep_caches()
-        for network in list_networks():
-            for sizing in SIZINGS:
-                key = _model_key(design, crossbar_size, wdm_capacity, None,
-                                 sizing)
-                swept = _cached_report(key, network).allocation
-                fresh = EinsteinBarrierSystem(
-                    factory(**base, **dict(zip(HIERARCHY_FIELDS, sizing)))
-                ).allocate(get_workload(network))
-                # dataclass equality: every field, floats exactly
-                assert swept == fresh
-                assert swept.static_optical_power \
-                    == fresh.static_optical_power
-                assert swept.per_layer_vcores == fresh.per_layer_vcores
+        records = run_sweep(grid, backend="serial").records
+        assert len(records) == 6 * 5 * 5 * 4
+        for spec, record in zip(grid.points(), records):
+            sizing = {name: value for name, value
+                      in zip(HIERARCHY_FIELDS, spec.hierarchy)
+                      if value is not None}
+            config = factory(**base, **sizing)
+            fresh = EinsteinBarrierSystem(config).allocate(
+                get_workload(spec.network))
+            assert (record.vcores_per_ecore, record.ecores_per_tile,
+                    record.tiles_per_node) == (
+                config.vcores_per_ecore, config.ecores_per_tile,
+                config.tiles_per_node)
+            # exact: the floats must be the ones provision computes
+            assert (record.vcores_required, record.nodes_required,
+                    record.node_utilisation) == (
+                fresh.vcores_required, fresh.nodes_required,
+                fresh.node_utilisation)
+        assert len({r.nodes_required for r in records}) > 2
+        assert any(0.0 < r.node_utilisation < 1.0 for r in records)
+
+    def test_unset_sizing_reads_the_factory_default(self, monkeypatch):
+        """``None`` takes each field's own default, however they differ."""
+        factory = partial(DESIGN_FACTORIES["tacitmap_epcm"],
+                          vcores_per_ecore=2, ecores_per_tile=3,
+                          tiles_per_node=5)
+        monkeypatch.setitem(DESIGN_FACTORIES, "tacitmap_epcm", factory)
+        grid = SweepGrid(networks=("CNN-L",), designs=("tacitmap_epcm",),
+                         crossbar_sizes=(64,), vcores_per_ecore=(None, 4),
+                         ecores_per_tile=(None, 1), tiles_per_node=(None,))
+        clear_sweep_caches()
+        try:
+            records = run_sweep(grid, backend="serial").records
+        finally:
+            clear_sweep_caches()
+        fresh = [
+            EinsteinBarrierSystem(factory(crossbar_size=64, **{
+                name: value for name, value
+                in zip(HIERARCHY_FIELDS, spec.hierarchy) if value is not None
+            })).allocate(get_workload("CNN-L"))
+            for spec in grid.points()
+        ]
+        assert [(r.vcores_per_ecore, r.ecores_per_tile, r.tiles_per_node)
+                for r in records] == [(2, 3, 5), (2, 1, 5), (4, 3, 5),
+                                      (4, 1, 5)]
+        assert [(r.nodes_required, r.node_utilisation) for r in records] \
+            == [(f.nodes_required, f.node_utilisation) for f in fresh]
+
+    def test_baseline_sizing_collapses_to_its_factory_default(self):
+        spec = SweepGrid(networks=("MLP-S",), designs=("baseline_epcm",),
+                         crossbar_sizes=(128,)).points()[0]
+        record = evaluate_point(replace(spec, vcores_per_ecore=1,
+                                        tiles_per_node=2))
+        assert record == evaluate_point(spec)
+        assert (record.vcores_per_ecore, record.ecores_per_tile,
+                record.tiles_per_node) == (8, 8, 8)
+
+    @pytest.mark.parametrize("sizing", [
+        {"vcores_per_ecore": 0}, {"ecores_per_tile": -1},
+        {"tiles_per_node": 0},
+    ])
+    def test_invalid_point_sizing_rejected(self, sizing):
+        spec = SweepGrid(networks=("MLP-S",), designs=("einsteinbarrier",),
+                         crossbar_sizes=(128,)).points()[0]
+        with pytest.raises(ValueError, match="must be >= 1"):
+            evaluate_point(replace(spec, **sizing))
 
     @pytest.mark.parametrize("design", ["tacitmap_epcm", "einsteinbarrier"])
     @pytest.mark.parametrize("crossbar_size", [64, 256])

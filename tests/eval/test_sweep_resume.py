@@ -25,6 +25,7 @@ import pickle
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.eval.sweep import (
     SweepGrid,
     SweepResult,
     evaluate_point,
+    run_sweep,
     write_sweep_json,
 )
 from repro.runtime import janitor
@@ -325,6 +327,124 @@ class TestKillResumeEquivalence:
         with pytest.raises(RuntimeError,
                            match="unpublished.*run_sharded_sweep"):
             aggregate_sweep(root, grid)
+
+
+class TestAggregation:
+    """Rows land at their grid position; the first published row wins."""
+
+    @staticmethod
+    def _rows(grid):
+        return [(identity, evaluate_point(spec))
+                for identity, spec in identified_points(grid)]
+
+    @staticmethod
+    def _aggregate(tmp_path, grid, segments):
+        from repro.eval.columnar import sweep_records_to_array
+        root = str(tmp_path / f"sweep-{len(os.listdir(tmp_path))}")
+        store = shard.columnar_store(root)
+        for rows in segments:
+            store.append(sweep_records_to_array(rows))
+        return aggregate_sweep(root, grid)
+
+    @staticmethod
+    def _assert_records(result, rows):
+        assert len(result.records) == len(rows)
+        for got, (_, want) in zip(result.records, rows):
+            assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_duplicates_shuffles_and_foreign_rows(self, tmp_path):
+        grid = _small_grid()
+        rows = self._rows(grid)
+        foreign = self._rows(_small_grid(crossbar_sizes=(128,)))
+        order = np.random.default_rng(5).permutation(len(rows))
+        shuffled = [rows[i] for i in order]
+        for segments in (
+            [rows],
+            [shuffled[:3], shuffled[3:7], shuffled[7:]],
+            [rows[5:], rows[:5], rows[2:9]],               # across segments
+            [rows[:4] + rows[:4], rows[4:] + rows[-1:]],   # within one
+            [foreign[:3], shuffled[::-1], foreign[3:]],    # not in the grid
+            [[pair] for pair in shuffled],                 # one row each
+        ):
+            self._assert_records(self._aggregate(tmp_path, grid, segments),
+                                 rows)
+
+    def test_first_published_row_wins(self, tmp_path):
+        grid = _small_grid()
+        rows = self._rows(grid)
+        identity, record = rows[2]
+        other = replace(record, latency_s=record.latency_s * 2)
+        for segments, kept in (
+            ([rows, [(identity, other)]], record),
+            ([[(identity, other)], rows], other),
+            ([rows[:2] + [(identity, other)] + rows[2:]], other),
+        ):
+            result = self._aggregate(tmp_path, grid, segments)
+            assert result.records[2] == kept
+
+    def test_a_duplicate_never_stands_in_for_a_missing_point(self, tmp_path):
+        grid = _small_grid()
+        rows = self._rows(grid)
+        # as many rows as grid points, one point twice and one never
+        with pytest.raises(RuntimeError,
+                           match=f"has 1 of {len(rows)} grid points "
+                                 "unpublished"):
+            self._aggregate(tmp_path, grid, [rows[1:] + rows[1:2]])
+
+    def test_a_grid_listing_a_point_twice_aggregates(self, tmp_path):
+        grid = SweepGrid(networks=("MLP-S",), designs=("baseline_epcm",),
+                         crossbar_sizes=(64, 128, 64), seed=3)
+        result = run_sharded_sweep(grid, str(tmp_path / "sweep"),
+                                   partitions=2)
+        assert result.records == run_sweep(grid).records
+        assert result.records[0] == result.records[2]
+
+
+class TestPrepareReadsOnce:
+    """``prepare_sweep`` reads and checksums each segment once per call."""
+
+    def test_one_read_per_segment_and_damage_quarantined_first(
+            self, tmp_path, monkeypatch):
+        from repro.eval.columnar import ColumnarStore
+        grid = _small_grid()
+        root = str(tmp_path / "sweep")
+        run_sharded_sweep(grid, root, partitions=4)
+        store = shard.columnar_store(root)
+        segments = store.segments()
+        assert len(segments) == 4
+        # tear the last segment and leave an orphan beside the manifest
+        torn = os.path.join(store.root, segments[-1].name)
+        with open(torn, "rb") as handle:
+            blob = handle.read()
+        with open(torn, "wb") as handle:
+            handle.write(blob[:len(blob) // 2])
+        orphan = "seg-9999999-deadbeef.npz"
+        with open(os.path.join(store.root, orphan), "wb") as handle:
+            handle.write(blob)
+
+        reads = []
+        real = ColumnarStore._read_verified
+
+        def counting(self, segment):
+            reads.append(segment.name)
+            return real(self, segment)
+
+        monkeypatch.setattr(ColumnarStore, "_read_verified", counting)
+        plan = prepare_sweep(grid, root, partitions=4)
+        assert sorted(reads) == sorted(s.name for s in segments)
+        assert sorted(os.listdir(os.path.join(store.root, "quarantine"))) \
+            == sorted([segments[-1].name, orphan])
+        # the torn segment's rows are pending again, nothing else is
+        torn_rows = segments[-1].rows
+        assert (plan.pending, plan.skipped) \
+            == (torn_rows, len(grid.points()) - torn_rows)
+
+        del reads[:]
+        again = prepare_sweep(grid, root, partitions=4)
+        assert len(reads) == 3 and again.pending == torn_rows
+        monkeypatch.undo()
+        result = drain_and_aggregate(root, again)
+        assert result.records == run_sweep(grid).records
 
 
 class TestTaskIdentity:

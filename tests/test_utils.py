@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import derive_seed, make_rng, spawn_rngs
+from repro.utils.rng import derive_seed, derive_seeds, make_rng, spawn_rngs
 from repro.utils.units import (
     format_energy,
     format_power,
@@ -114,6 +114,55 @@ class TestRng:
     def test_derive_seed_rejects_invalid_seed_types(self):
         with pytest.raises(TypeError):
             derive_seed("seed", "alpha")
+        with pytest.raises(TypeError):
+            derive_seeds("seed", [])
+
+
+def _salt_loop_seed(seed, salt):
+    """The per-character reference: one base draw XOR the salt's sum."""
+    if isinstance(seed, np.random.Generator):
+        base = int(seed.integers(0, 2**31 - 1))
+    else:
+        base = int(make_rng(seed).integers(0, 2**31 - 1))
+    return base ^ (sum(ord(c) * (i + 1) for i, c in enumerate(salt)) % 2**31)
+
+
+#: any code point, lone surrogates and astral planes included
+_SALTS = st.lists(
+    st.one_of(
+        st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF,
+                              exclude_categories=())),
+        st.text(alphabet="\U0010ffff\ud800", min_size=1000, max_size=3000),
+        st.just(""),
+    ),
+    max_size=12,
+)
+
+
+class TestDeriveSeeds:
+    @settings(max_examples=200, deadline=None)
+    @given(salts=_SALTS, seed=st.one_of(
+        st.none(), st.integers(0, 2**63 - 1), st.integers(0, 2**32)))
+    def test_equals_the_per_salt_loop(self, salts, seed):
+        expected = [_salt_loop_seed(seed, salt) for salt in salts]
+        assert derive_seeds(seed, salts) == expected
+        assert [derive_seed(seed, salt) for salt in salts] == expected
+        assert all(type(value) is int for value in derive_seeds(seed, salts))
+
+    @settings(max_examples=50, deadline=None)
+    @given(salts=_SALTS, state=st.integers(0, 2**32))
+    def test_generator_is_drawn_once_per_salt(self, salts, state):
+        batched, looped = (np.random.default_rng(state) for _ in range(2))
+        assert derive_seeds(batched, salts) == \
+            [_salt_loop_seed(looped, salt) for salt in salts]
+        # both generators advanced by exactly one draw per salt
+        assert batched.integers(0, 2**62) == looped.integers(0, 2**62)
+
+    def test_salt_sums_wrap_exactly(self):
+        """A salt whose weighted sum overflows int64 keeps exact low bits."""
+        salt = "\U0010ffff" * 4_200_000  # sum ~ 9.8e18 > 2**63
+        assert derive_seeds(0, [salt, "alpha"]) == \
+            [_salt_loop_seed(0, salt), derive_seed(0, "alpha")]
 
 
 class TestValidation:
