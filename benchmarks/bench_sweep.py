@@ -410,7 +410,7 @@ def test_sweep_subsystem(benchmark, smoke):
         f"schedule cache: {stats['hits']} hits / {stats['misses']} misses"
     )
     # every layer schedule is built at most once per process; reuse across
-    # the compiler/hierarchy/area models shows up as cache hits
+    # the cost/hierarchy/area models shows up as cache hits
     assert stats["hits"] >= stats["misses"]
     best = cold.best()
     assert best.design == "einsteinbarrier"

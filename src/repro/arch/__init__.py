@@ -1,15 +1,14 @@
 """EinsteinBarrier architecture simulator (and its ePCM siblings).
 
 The paper implements EinsteinBarrier as "a heavily extended version of the
-PUMA architecture and compiler" (Sec. V-A).  This package provides the
-from-scratch Python equivalent used by the reproduction:
+PUMA architecture and compiler" (Sec. V-A).  This package is an
+analytical model of it: every figure is closed-form arithmetic over
+per-layer operation counts, with no instruction-level simulation.
 
 * :mod:`repro.arch.config` — accelerator configuration dataclasses and the
   three evaluated designs (Baseline-ePCM, TacitMap-ePCM, EinsteinBarrier);
-* :mod:`repro.arch.isa` — a PUMA-style instruction set extended with the MMM
-  (matrix-matrix-multiplication) instruction WDM enables;
-* :mod:`repro.arch.compiler` — lowers a BNN workload into per-layer
-  instruction blocks for a given design;
+* :mod:`repro.arch.compiler` — schedules a BNN workload's binary layers on
+  a design (mapping, tile shape, WDM grouping);
 * :mod:`repro.arch.hierarchy` — the spatial organisation
   (VCore → ECore → Tile → Node) with capacity, area and static-power queries;
 * :mod:`repro.arch.timing` / :mod:`repro.arch.energy` — per-inference latency
@@ -20,7 +19,7 @@ from-scratch Python equivalent used by the reproduction:
 
 from repro.arch.accelerator import AcceleratorModel, InferenceReport
 from repro.arch.area import AreaBreakdown, estimate_area
-from repro.arch.compiler import Program, compile_network
+from repro.arch.compiler import compile_network
 from repro.arch.config import (
     AcceleratorConfig,
     DigitalUnitConfig,
@@ -31,7 +30,6 @@ from repro.arch.config import (
 )
 from repro.arch.energy import EnergyBreakdown, EnergyModel
 from repro.arch.hierarchy import ECore, EinsteinBarrierSystem, Node, Tile, VCore
-from repro.arch.isa import Instruction, Opcode
 from repro.arch.timing import LatencyBreakdown, LatencyModel
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "InferenceReport",
     "AreaBreakdown",
     "estimate_area",
-    "Program",
     "compile_network",
     "AcceleratorConfig",
     "DigitalUnitConfig",
@@ -54,8 +51,6 @@ __all__ = [
     "Node",
     "Tile",
     "VCore",
-    "Instruction",
-    "Opcode",
     "LatencyBreakdown",
     "LatencyModel",
 ]

@@ -1,7 +1,8 @@
 """User-facing accelerator façade.
 
-:class:`AcceleratorModel` ties the compiler, the latency model, the energy
-model and the hierarchy allocator together behind the call most users want::
+:class:`AcceleratorModel` ties the network schedule, the latency model, the
+energy model and the hierarchy allocator together behind the call most users
+want::
 
     model = AcceleratorModel(einsteinbarrier_config())
     report = model.run_inference(extract_workload(build_network("CNN-L")))
@@ -14,9 +15,7 @@ network to regenerate Fig. 7 and Fig. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.arch.compiler import Program, compile_network
+from repro.arch.compiler import compile_network
 from repro.arch.config import AcceleratorConfig
 from repro.arch.energy import EnergyBreakdown, EnergyModel
 from repro.arch.hierarchy import AllocationReport, EinsteinBarrierSystem
@@ -34,7 +33,6 @@ class InferenceReport:
     latency: LatencyBreakdown
     energy: EnergyBreakdown
     allocation: AllocationReport
-    program: Program
 
     @property
     def throughput_inferences_per_s(self) -> float:
@@ -61,19 +59,13 @@ class AcceleratorModel:
         """Design name (e.g. ``"EinsteinBarrier"``)."""
         return self.config.name
 
-    def compile(self, workload: NetworkWorkload) -> Program:
-        """Compile a workload for this design."""
-        return compile_network(workload, self.config)
-
-    def run_inference(self, workload: NetworkWorkload | BNNModel, *,
-                      program: Optional[Program] = None) -> InferenceReport:
+    def run_inference(self, workload: NetworkWorkload | BNNModel) -> InferenceReport:
         """Estimate latency, energy and resource usage of one inference."""
         if isinstance(workload, BNNModel):
             workload = extract_workload(workload)
-        if program is None:
-            program = self.compile(workload)
-        latency = self._latency_model.estimate(workload, program)
-        energy = self._energy_model.estimate(workload, program)
+        schedule = compile_network(workload, self.config)
+        latency = self._latency_model.estimate(workload, schedule)
+        energy = self._energy_model.estimate(workload, schedule)
         allocation = self._system.allocate(workload)
         return InferenceReport(
             design_name=self.config.name,
@@ -81,5 +73,4 @@ class AcceleratorModel:
             latency=latency,
             energy=energy,
             allocation=allocation,
-            program=program,
         )

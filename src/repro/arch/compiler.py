@@ -1,170 +1,62 @@
-"""Compiler: lowers a BNN workload onto an accelerator configuration.
+"""Lowering: a BNN workload's operation counts on one accelerator design.
 
-The compiler mirrors what the paper's extended PUMA compiler does for the
-evaluation: for every binary layer it derives the mapping schedule (tiling,
-crossbar activations, read-out and digital post-processing counts) and emits
-the corresponding crossbar/ALU/data-movement instructions; for every
-full-precision layer it emits digital MAC bursts; between layers it emits the
-activation transfers over the on-chip network.
-
-The output :class:`Program` is consumed by the timing and energy models and
-can also be inspected directly (instruction histograms per layer), which the
-tests use to check the compiler encodes the paper's structural claims —
-e.g. that EinsteinBarrier issues MMM instructions where TacitMap-ePCM issues
-``K`` times as many MVM instructions.
+:func:`compile_network` derives the mapping schedule of every binary layer
+(tiling, crossbar activations, read-out and digital post-processing counts)
+for the design's mapping, tile shape and WDM capacity.  The two helpers
+below give the few per-layer operands the schedule does not hold: the
+geometry of one crossbar step and the bytes a layer moves over the on-chip
+network.  The latency and energy models turn these into closed-form costs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Tuple
 
 from repro.arch.config import AcceleratorConfig
-from repro.arch.isa import Instruction, LayerBlock, Opcode
 from repro.bnn.workload import LayerSpec, NetworkWorkload
-from repro.core.schedule import LayerSchedule, build_layer_schedule
+from repro.core.schedule import NetworkSchedule, build_network_schedule
 
 
-@dataclass(frozen=True)
-class Program:
-    """A compiled network: one instruction block per MAC layer."""
-
-    network_name: str
-    design_name: str
-    blocks: List[LayerBlock] = field(default_factory=list)
-    schedules: Dict[str, LayerSchedule] = field(default_factory=dict)
-
-    def count(self, opcode: Opcode) -> int:
-        """Total dynamic instances of ``opcode`` in the whole program."""
-        return sum(block.count(opcode) for block in self.blocks)
-
-    @property
-    def binary_blocks(self) -> List[LayerBlock]:
-        """Blocks of the crossbar-mapped (binary) layers."""
-        return [block for block in self.blocks if block.is_binary]
-
-    @property
-    def full_precision_blocks(self) -> List[LayerBlock]:
-        """Blocks of the digital (non-binary) layers."""
-        return [block for block in self.blocks if not block.is_binary]
-
-
-def _activation_bytes(spec: LayerSpec, bits: int) -> int:
-    """Bytes needed to move one layer's input activations."""
-    elements = spec.vector_length * spec.num_input_vectors
-    return math.ceil(elements * bits / 8)
-
-
-def _output_bytes(spec: LayerSpec, bits: int) -> int:
-    """Bytes needed to move one layer's output activations."""
-    elements = spec.num_weight_vectors * spec.num_input_vectors
-    return math.ceil(elements * bits / 8)
-
-
-def _compile_binary_layer(spec: LayerSpec, config: AcceleratorConfig) -> tuple[LayerBlock, LayerSchedule]:
-    schedule = build_layer_schedule(
-        spec,
+def compile_network(workload: NetworkWorkload,
+                    config: AcceleratorConfig) -> NetworkSchedule:
+    """Schedule every binary layer of ``workload`` on one design."""
+    return build_network_schedule(
+        workload,
         mapping=config.mapping,
         tile_shape=config.tile_shape,
         wdm_capacity=config.wdm_capacity,
     )
-    instructions: List[Instruction] = [
-        Instruction(
-            Opcode.LOAD,
-            count=1,
-            operands={"bytes": _activation_bytes(spec, config.activation_bits)},
-        ),
-        Instruction(
-            Opcode.WRITE_WEIGHTS,
-            count=1,
-            operands={"cells": schedule.cells_programmed},
-        ),
-    ]
-    active_rows = min(2 * spec.vector_length, config.tile.rows) \
-        if config.mapping == "tacitmap" else 1
-    read_columns = min(spec.num_weight_vectors, config.tile.cols) \
-        if config.mapping == "tacitmap" else min(spec.vector_length, config.tile.cols)
 
+
+def crossbar_step(spec: LayerSpec, config: AcceleratorConfig) -> Tuple[int, int, int]:
+    """Active rows, read columns and wavelengths of one crossbar step.
+
+    A TacitMap step drives both rails of the input vector and converts one
+    column per stored weight vector, carrying up to ``K`` activation
+    vectors on separate wavelengths; a CustBinaryMap step activates one
+    word line and senses the input vector's bit lines.
+    """
     if config.mapping == "tacitmap":
-        wavelengths = min(config.wdm_capacity, max(spec.num_input_vectors, 1))
-        opcode = Opcode.MMM if wavelengths > 1 else Opcode.MVM
-        instructions.append(
-            Instruction(
-                opcode,
-                count=schedule.crossbar_activations,
-                operands={
-                    "active_rows": active_rows,
-                    "read_columns": read_columns,
-                    "wavelengths": wavelengths,
-                    "sequential_steps": schedule.sequential_steps,
-                },
-            )
+        return (
+            min(2 * spec.vector_length, config.tile.rows),
+            min(spec.num_weight_vectors, config.tile.cols),
+            min(config.wdm_capacity, max(spec.num_input_vectors, 1)),
         )
-    else:
-        instructions.append(
-            Instruction(
-                Opcode.ROW_READ,
-                count=schedule.crossbar_activations,
-                operands={
-                    "read_columns": read_columns,
-                    "sequential_steps": schedule.sequential_steps,
-                    "popcount_tree_depth": schedule.popcount_tree_depth,
-                },
-            )
-        )
-    if schedule.digital_adds:
-        instructions.append(
-            Instruction(Opcode.ALU_ADD, count=schedule.digital_adds)
-        )
-    instructions.append(
-        Instruction(
-            Opcode.STORE,
-            count=1,
-            operands={"bytes": _output_bytes(spec, config.full_precision_bits)},
-        )
-    )
-    block = LayerBlock(
-        layer_name=spec.name, is_binary=True, instructions=instructions
-    )
-    return block, schedule
+    return 1, min(spec.vector_length, config.tile.cols), 1
 
 
-def _compile_full_precision_layer(spec: LayerSpec,
-                                  config: AcceleratorConfig) -> LayerBlock:
-    instructions = [
-        Instruction(
-            Opcode.LOAD,
-            count=1,
-            operands={"bytes": _activation_bytes(spec, config.full_precision_bits)},
-        ),
-        Instruction(Opcode.ALU_MAC, count=spec.macs),
-        Instruction(
-            Opcode.STORE,
-            count=1,
-            operands={"bytes": _output_bytes(spec, config.full_precision_bits)},
-        ),
-    ]
-    return LayerBlock(
-        layer_name=spec.name, is_binary=False, instructions=instructions
-    )
+def transfer_bytes(spec: LayerSpec, config: AcceleratorConfig) -> Tuple[int, int]:
+    """Bytes a layer loads (its inputs) and stores (its outputs).
 
-
-def compile_network(workload: NetworkWorkload,
-                    config: AcceleratorConfig) -> Program:
-    """Compile a network workload for one accelerator design."""
-    blocks: List[LayerBlock] = []
-    schedules: Dict[str, LayerSchedule] = {}
-    for spec in workload.layers:
-        if spec.is_binary:
-            block, schedule = _compile_binary_layer(spec, config)
-            schedules[spec.name] = schedule
-        else:
-            block = _compile_full_precision_layer(spec, config)
-        blocks.append(block)
-    return Program(
-        network_name=workload.name,
-        design_name=config.name,
-        blocks=blocks,
-        schedules=schedules,
+    Binary layers read ``activation_bits``-wide inputs; full-precision
+    layers read ``full_precision_bits``-wide ones.  Every layer writes
+    ``full_precision_bits``-wide outputs.  Odd widths round up to whole bytes.
+    """
+    input_bits = config.activation_bits if spec.is_binary else config.full_precision_bits
+    inputs = spec.vector_length * spec.num_input_vectors
+    outputs = spec.num_weight_vectors * spec.num_input_vectors
+    return (
+        math.ceil(inputs * input_bits / 8),
+        math.ceil(outputs * config.full_precision_bits / 8),
     )

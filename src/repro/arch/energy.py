@@ -1,7 +1,7 @@
 """Per-inference energy model.
 
-Energy is accumulated per layer from the mapping schedule's operation counts
-and the component models:
+Energy is accumulated per layer, in closed form, from the mapping schedule's
+operation counts and the component models:
 
 * **crossbar array** — per-cell read energy of every activation (the long
   analog integration window for ADC-read VMMs, the short sensing window for
@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.arch.compiler import Program, compile_network
+from repro.arch.compiler import compile_network, crossbar_step, transfer_bytes
 from repro.arch.config import AcceleratorConfig
-from repro.arch.isa import Opcode
-from repro.arch.timing import LatencyModel
 from repro.bnn.workload import NetworkWorkload
+from repro.core.schedule import NetworkSchedule
 from repro.crossbar.tile import CrossbarTile
 from repro.photonics.power import crossbar_receiver_power, transmitter_power
 
@@ -70,122 +69,105 @@ class EnergyModel:
     def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
         self._tile = CrossbarTile(config.tile)
-        self._latency = LatencyModel(config)
 
-    # ------------------------------------------------------------------ #
-    # Whole-network estimation
-    # ------------------------------------------------------------------ #
     def estimate(self, workload: NetworkWorkload,
-                 program: Program | None = None) -> EnergyBreakdown:
-        """Estimate the inference energy of ``workload`` on this design."""
-        if program is None:
-            program = compile_network(workload, self.config)
+                 schedule: NetworkSchedule | None = None) -> EnergyBreakdown:
+        """Estimate the inference energy of ``workload`` on this design.
 
-        device = self.config.tile.resolved_device_config
-        adc_energy_per_conversion = self.config.tile.adc_config.energy_per_conversion
-        dac_energy = self.config.tile.dac_config.energy_per_conversion
-        sense_energy = self.config.tile.pcsa_config.energy_per_sense
-        add_energy = self.config.digital.energy_per_add
-        mac_energy = self.config.digital.energy_per_mac
-        byte_energy = self.config.interconnect.energy_per_byte
+        One pass over the layers; each layer's terms are added in the
+        order load, weight programming, crossbar array, read-out and
+        drivers, optical overhead, digital adds (or MACs), store.
+        """
+        config = self.config
+        if schedule is None:
+            schedule = compile_network(workload, config)
+        device = config.tile.resolved_device_config
+        adc_energy = config.tile.adc_config.energy_per_conversion
+        dac_energy = config.tile.dac_config.energy_per_conversion
+        sense_energy = config.tile.pcsa_config.energy_per_sense
+        add_energy = config.digital.energy_per_add
+        mac_energy = config.digital.energy_per_mac
+        byte_energy = config.interconnect.energy_per_byte
+        tacitmap = config.mapping == "tacitmap"
+        optical = tacitmap and config.technology == "opcm"
+        layer_schedules = iter(schedule.layer_schedules)
 
         per_layer: Dict[str, float] = {}
-        totals = {
-            "crossbar_array": 0.0,
-            "adc": 0.0,
-            "sense_amplifier": 0.0,
-            "driver": 0.0,
-            "digital": 0.0,
-            "data_movement": 0.0,
-            "optical_overhead": 0.0,
-            "full_precision": 0.0,
-            "weight_programming": 0.0,
-        }
+        crossbar_array = adc = sense_amplifier = driver = digital = 0.0
+        data_movement = optical_overhead = full_precision = 0.0
+        weight_programming = 0.0
 
-        for block in program.blocks:
-            layer_energy = 0.0
-            schedule = program.schedules.get(block.layer_name)
-            for instruction in block.instructions:
-                if instruction.opcode in (Opcode.MVM, Opcode.MMM):
-                    active_rows = instruction.operand(
-                        "active_rows", self.config.tile.rows
-                    )
-                    read_columns = instruction.operand(
-                        "read_columns", self.config.tile.cols
-                    )
+        for spec in workload.layers:
+            load_bytes, store_bytes = transfer_bytes(spec, config)
+            load = load_bytes * byte_energy
+            data_movement += load
+            layer_energy = load
+            if spec.is_binary:
+                layer = next(layer_schedules)
+                weight_programming += (
+                    layer.cells_programmed * device.write_energy_per_cell
+                )
+                active_rows, read_columns, wavelengths = crossbar_step(spec, config)
+                drives = layer.dac_drives * dac_energy
+                if tacitmap:
                     array = (
-                        instruction.count * active_rows * read_columns
+                        layer.crossbar_activations * active_rows * read_columns
                         * device.read_energy_per_cell
                     )
-                    totals["crossbar_array"] += array
-                    layer_energy += array
-                    if schedule is not None:
-                        adc = schedule.adc_conversions * adc_energy_per_conversion
-                        driver = schedule.dac_drives * dac_energy
-                        totals["adc"] += adc
-                        totals["driver"] += driver
-                        layer_energy += adc + driver
-                    if self.config.technology == "opcm":
-                        optical = self._optical_overhead_energy(instruction)
-                        totals["optical_overhead"] += optical
-                        layer_energy += optical
-                elif instruction.opcode is Opcode.ROW_READ:
-                    read_columns = instruction.operand(
-                        "read_columns", self.config.tile.cols
-                    )
+                    readout = layer.adc_conversions * adc_energy
+                    adc += readout
+                else:
                     step = self._tile.pcsa_row_cost(max(read_columns, 1))
-                    array = instruction.count * (
+                    array = max(layer.crossbar_activations * (
                         step["energy"]
                         - read_columns * sense_energy
                         - read_columns * dac_energy
+                    ), 0.0)
+                    readout = layer.pcsa_senses * sense_energy
+                    sense_amplifier += readout
+                crossbar_array += array
+                driver += drives
+                layer_energy += array
+                layer_energy += readout + drives
+                if optical:
+                    overhead = self._optical_overhead_energy(
+                        layer.sequential_steps, active_rows, read_columns,
+                        wavelengths,
                     )
-                    totals["crossbar_array"] += max(array, 0.0)
-                    layer_energy += max(array, 0.0)
-                    if schedule is not None:
-                        senses = schedule.pcsa_senses * sense_energy
-                        driver = schedule.dac_drives * dac_energy
-                        totals["sense_amplifier"] += senses
-                        totals["driver"] += driver
-                        layer_energy += senses + driver
-                elif instruction.opcode is Opcode.ALU_ADD:
-                    digital = instruction.count * add_energy
-                    totals["digital"] += digital
-                    layer_energy += digital
-                elif instruction.opcode is Opcode.ALU_MAC:
-                    macs = instruction.count * mac_energy
-                    totals["full_precision"] += macs
-                    layer_energy += macs
-                elif instruction.opcode in (Opcode.LOAD, Opcode.STORE):
-                    movement = instruction.operand("bytes") * byte_energy
-                    totals["data_movement"] += movement
-                    layer_energy += movement
-                elif instruction.opcode is Opcode.WRITE_WEIGHTS:
-                    totals["weight_programming"] += (
-                        instruction.operand("cells") * device.write_energy_per_cell
-                    )
-            # the baseline's popcount-tree additions travel with ROW_READ
-            # blocks as ALU_ADD instructions, already covered above
-            per_layer[block.layer_name] = layer_energy
+                    optical_overhead += overhead
+                    layer_energy += overhead
+                if layer.digital_adds:
+                    adds = layer.digital_adds * add_energy
+                    digital += adds
+                    layer_energy += adds
+            else:
+                macs = spec.macs * mac_energy
+                full_precision += macs
+                layer_energy += macs
+            store = store_bytes * byte_energy
+            data_movement += store
+            per_layer[spec.name] = layer_energy + store
 
         return EnergyBreakdown(
-            design_name=self.config.name,
+            design_name=config.name,
             network_name=workload.name,
             per_layer=per_layer,
-            crossbar_array=totals["crossbar_array"],
-            adc=totals["adc"],
-            sense_amplifier=totals["sense_amplifier"],
-            driver=totals["driver"],
-            digital=totals["digital"],
-            data_movement=totals["data_movement"],
-            optical_overhead=totals["optical_overhead"],
-            full_precision=totals["full_precision"],
-            weight_programming=totals["weight_programming"],
+            crossbar_array=crossbar_array,
+            adc=adc,
+            sense_amplifier=sense_amplifier,
+            driver=driver,
+            digital=digital,
+            data_movement=data_movement,
+            optical_overhead=optical_overhead,
+            full_precision=full_precision,
+            weight_programming=weight_programming,
         )
 
     # ------------------------------------------------------------------ #
     # Optical overhead (Eq. 2 + Eq. 3 integrated over busy time)
     # ------------------------------------------------------------------ #
-    def _optical_overhead_energy(self, instruction) -> float:
+    def _optical_overhead_energy(self, steps: int, active_rows: int,
+                                 read_columns: int, wavelengths: int) -> float:
         """Transmitter + receiver power during the layer's optical traversal.
 
         The laser, comb tuning, modulators and TIAs (Eq. 2 + Eq. 3) only need
@@ -194,12 +176,7 @@ class EnergyModel:
         photocurrents, so the overhead power is integrated over
         ``steps x optical_read_latency`` rather than the full step latency.
         """
-        steps = instruction.operand("sequential_steps", instruction.count)
-        wavelengths = instruction.operand("wavelengths", 1)
-        active_rows = instruction.operand("active_rows", self.config.tile.rows)
-        read_columns = instruction.operand("read_columns", self.config.tile.cols)
-        optical_window = self.config.tile.resolved_device_config.read_latency
-        busy_time = steps * optical_window
+        busy_time = steps * self.config.tile.resolved_device_config.read_latency
         power = transmitter_power(
             max(wavelengths, 1), active_rows,
             laser_power=self.config.laser_power_w,

@@ -15,6 +15,10 @@ dependent, so they execute back-to-back) of:
 * **data movement** — activations moved over the on-chip network between
   layers.
 
+Every term is closed-form arithmetic on the layer's
+:class:`~repro.bnn.workload.LayerSpec` and its
+:class:`~repro.core.schedule.LayerSchedule`.
+
 One-time weight programming is reported separately and *not* included in the
 steady-state inference latency (inference-time accelerators programme the
 weights once), mirroring the paper's evaluation.
@@ -26,10 +30,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.arch.compiler import Program, compile_network
+from repro.arch.compiler import compile_network, crossbar_step, transfer_bytes
 from repro.arch.config import AcceleratorConfig
-from repro.arch.isa import Opcode
 from repro.bnn.workload import NetworkWorkload
+from repro.core.schedule import NetworkSchedule
 from repro.crossbar.tile import CrossbarTile
 
 
@@ -95,55 +99,58 @@ class LatencyModel:
     # Whole-network estimation
     # ------------------------------------------------------------------ #
     def estimate(self, workload: NetworkWorkload,
-                 program: Program | None = None) -> LatencyBreakdown:
-        """Estimate the inference latency of ``workload`` on this design."""
-        if program is None:
-            program = compile_network(workload, self.config)
+                 schedule: NetworkSchedule | None = None) -> LatencyBreakdown:
+        """Estimate the inference latency of ``workload`` on this design.
+
+        One pass over the layers; each layer's terms are added in the
+        order load, weight programming, crossbar steps, digital adds (or
+        MACs), store.
+        """
+        config = self.config
+        if schedule is None:
+            schedule = compile_network(workload, config)
+        digital = config.digital
+        write_latency = config.tile.resolved_device_config.write_latency
+        row_cells = max(config.tile.cols, 1)
+        layer_schedules = iter(schedule.layer_schedules)
         per_layer: Dict[str, float] = {}
         binary_compute = 0.0
         full_precision_compute = 0.0
         data_movement = 0.0
         weight_programming = 0.0
 
-        for block in program.blocks:
-            layer_time = 0.0
-            for instruction in block.instructions:
-                if instruction.opcode in (Opcode.MVM, Opcode.MMM, Opcode.ROW_READ):
-                    steps = instruction.operand("sequential_steps", instruction.count)
-                    step_latency = self.binary_step_latency(
-                        instruction.operand("active_rows", self.config.tile.rows),
-                        instruction.operand("read_columns", self.config.tile.cols),
-                        instruction.operand("wavelengths", 1),
-                        instruction.operand("popcount_tree_depth", 0),
-                    )
-                    duration = steps * step_latency
-                    binary_compute += duration
-                    layer_time += duration
-                elif instruction.opcode is Opcode.ALU_ADD:
+        for spec in workload.layers:
+            load_bytes, store_bytes = transfer_bytes(spec, config)
+            load = self.transfer_latency(load_bytes)
+            data_movement += load
+            layer_time = load
+            if spec.is_binary:
+                layer = next(layer_schedules)
+                weight_programming += (
+                    math.ceil(layer.cells_programmed / row_cells) * write_latency
+                )
+                crossbar = layer.sequential_steps * self.binary_step_latency(
+                    *crossbar_step(spec, config), layer.popcount_tree_depth
+                )
+                binary_compute += crossbar
+                layer_time += crossbar
+                if layer.digital_adds:
                     cycles = math.ceil(
-                        instruction.count / self.config.digital.macs_per_cycle
-                    ) * self.config.digital.add_latency_cycles
-                    duration = cycles / self.config.digital.clock_hz
-                    binary_compute += duration
-                    layer_time += duration
-                elif instruction.opcode is Opcode.ALU_MAC:
-                    duration = instruction.count / self.config.digital.macs_per_second
-                    full_precision_compute += duration
-                    layer_time += duration
-                elif instruction.opcode in (Opcode.LOAD, Opcode.STORE):
-                    duration = self.transfer_latency(instruction.operand("bytes"))
-                    data_movement += duration
-                    layer_time += duration
-                elif instruction.opcode is Opcode.WRITE_WEIGHTS:
-                    cells = instruction.operand("cells")
-                    rows = math.ceil(cells / max(self.config.tile.cols, 1))
-                    weight_programming += (
-                        rows * self.config.tile.resolved_device_config.write_latency
-                    )
-            per_layer[block.layer_name] = layer_time
+                        layer.digital_adds / digital.macs_per_cycle
+                    ) * digital.add_latency_cycles
+                    adds = cycles / digital.clock_hz
+                    binary_compute += adds
+                    layer_time += adds
+            else:
+                macs = spec.macs / digital.macs_per_second
+                full_precision_compute += macs
+                layer_time += macs
+            store = self.transfer_latency(store_bytes)
+            data_movement += store
+            per_layer[spec.name] = layer_time + store
 
         return LatencyBreakdown(
-            design_name=self.config.name,
+            design_name=config.name,
             network_name=workload.name,
             per_layer=per_layer,
             binary_compute=binary_compute,

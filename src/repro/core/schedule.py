@@ -205,7 +205,7 @@ def _custbinarymap_layer_schedule(spec: LayerSpec,
 
 #: memoisation table for :func:`build_layer_schedule`.  Every input is a
 #: frozen (hashable) dataclass and every output is immutable, so schedules
-#: can be shared freely across compiler, hierarchy, area and sweep callers —
+#: can be shared freely across the cost, hierarchy, area and sweep callers —
 #: including concurrently: the runtime layer's thread backend
 #: (:class:`repro.runtime.executors.ThreadExecutor`) shares this per-process
 #: cache across worker threads, so lookups/inserts and the hit/miss counters
@@ -237,15 +237,15 @@ def schedule_cache_stats() -> Dict[str, int]:
 
 def build_layer_schedule(spec: LayerSpec, *, mapping: str,
                          tile_shape: Optional[TileShape] = None,
-                         wdm_capacity: int = 1,
-                         memoize: bool = True) -> LayerSchedule:
+                         wdm_capacity: int = 1) -> LayerSchedule:
     """Build the operation-count schedule of one binary layer.
 
     Results are memoised by ``(spec, mapping, tile_shape, wdm_capacity)``:
-    one inference estimate builds the same layer schedule several times
-    (compiler, hierarchy allocator, area model) and design-space sweeps
-    revisit identical layers across grid points, so the cache removes the
-    dominant rebuild cost.  Pass ``memoize=False`` to force a fresh build.
+    the same layer schedule is built by the network schedule the latency
+    and energy models share (:func:`repro.arch.compiler.compile_network`),
+    by the hierarchy allocator's footprint and by the area model, and
+    design-space sweeps revisit identical layers across grid points, so
+    the cache removes the dominant rebuild cost.
 
     Parameters
     ----------
@@ -258,8 +258,6 @@ def build_layer_schedule(spec: LayerSpec, *, mapping: str,
     wdm_capacity:
         WDM capacity K (only meaningful for TacitMap on oPCM; must be 1 for
         the baseline mapping).
-    memoize:
-        Whether to consult/populate the module-level schedule cache.
     """
     global _CACHE_HITS, _CACHE_MISSES
     if not spec.is_binary:
@@ -271,12 +269,11 @@ def build_layer_schedule(spec: LayerSpec, *, mapping: str,
     if wdm_capacity < 1:
         raise ValueError("wdm_capacity must be >= 1")
     key = (spec, mapping, tile, wdm_capacity)
-    if memoize:
-        with _CACHE_LOCK:
-            cached = _SCHEDULE_CACHE.get(key)
-            if cached is not None:
-                _CACHE_HITS += 1
-                return cached
+    with _CACHE_LOCK:
+        cached = _SCHEDULE_CACHE.get(key)
+        if cached is not None:
+            _CACHE_HITS += 1
+            return cached
     if mapping == TacitMap.name:
         schedule = _tacitmap_layer_schedule(spec, tile, wdm_capacity)
     elif mapping == CustBinaryMap.name:
@@ -285,18 +282,16 @@ def build_layer_schedule(spec: LayerSpec, *, mapping: str,
         schedule = _custbinarymap_layer_schedule(spec, tile)
     else:
         raise ValueError(f"unknown mapping {mapping!r}")
-    if memoize:
-        # two threads may race to build the same schedule; both build the
-        # identical immutable value, the first insert wins and the counters
-        # stay consistent because they only move under the lock
-        with _CACHE_LOCK:
-            if key not in _SCHEDULE_CACHE:
-                _CACHE_MISSES += 1
-                _SCHEDULE_CACHE[key] = schedule
-            else:
-                _CACHE_HITS += 1
-            return _SCHEDULE_CACHE[key]
-    return schedule
+    # two threads may race to build the same schedule; both build the
+    # identical immutable value, the first insert wins and the counters
+    # stay consistent because they only move under the lock
+    with _CACHE_LOCK:
+        if key not in _SCHEDULE_CACHE:
+            _CACHE_MISSES += 1
+            _SCHEDULE_CACHE[key] = schedule
+        else:
+            _CACHE_HITS += 1
+        return _SCHEDULE_CACHE[key]
 
 
 def build_network_schedule(workload: NetworkWorkload, *, mapping: str,

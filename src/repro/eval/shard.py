@@ -429,8 +429,15 @@ def _build_grid(args: argparse.Namespace) -> SweepGrid:
 
 def _status_payload(root: str, grid: SweepGrid,
                     schema_version: int) -> Dict[str, object]:
+    """What ``--status`` prints: one read-only scan of the store.
+
+    Torn or orphaned segments are listed under ``scan``, not repaired,
+    and a torn segment's rows count as pending: they are the rows the
+    next resume quarantines and recomputes.
+    """
     columnar = columnar_store(root, schema_version=schema_version)
-    published = columnar.published_identities()
+    published: Set[str] = set()
+    scan = columnar.scan(identities=published)
     points = identified_points(grid, schema_version=schema_version)
     pending = sum(1 for identity, _ in points if identity not in published)
     return {
@@ -439,7 +446,7 @@ def _status_payload(root: str, grid: SweepGrid,
         "grid_points": len(points),
         "pending_points": pending,
         "schema_version": schema_version,
-        "scan": columnar.scan().to_dict(),
+        "scan": scan.to_dict(),
     }
 
 

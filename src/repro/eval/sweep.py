@@ -21,8 +21,8 @@ This module provides that as a small subsystem:
     networks' shape table without allocating weights;
   - configs and accelerator models: one per design configuration at the
     default hierarchy sizing;
-  - reports: per network and default-sizing configuration, the cost (the
-    compiled program, latency, energy and the allocation's footprint);
+  - reports: per network and default-sizing configuration, the cost
+    (latency, energy and the allocation's footprint);
     each hierarchy sizing is arithmetic on that cost in
     :func:`evaluate_point` — no config, model or report per sizing;
   - layer schedules: :mod:`repro.core.schedule`.
@@ -224,7 +224,7 @@ def _cached_report(key: _ModelKey, network: str) -> InferenceReport:
     """The report of ``network`` on one model key, computed once per process.
 
     The sweep asks only for hierarchy-free keys (see :func:`_unsized`):
-    the compiler, the latency and energy models and the allocation's
+    the network schedule, the latency and energy models and the allocation's
     footprint never read the hierarchy sizing, so one report is the cost
     of every sizing, and :func:`evaluate_point` provisions each sizing by
     arithmetic on it.

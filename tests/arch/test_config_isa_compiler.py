@@ -1,10 +1,12 @@
-"""Tests for accelerator configurations, the ISA, and the compiler."""
+"""Tests for accelerator configurations and the per-layer network schedule."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.arch.compiler import compile_network
+from repro.arch.compiler import compile_network, crossbar_step, transfer_bytes
 from repro.arch.config import (
     AcceleratorConfig,
     DigitalUnitConfig,
@@ -14,9 +16,10 @@ from repro.arch.config import (
     einsteinbarrier_config,
     tacitmap_epcm_config,
 )
-from repro.arch.isa import Instruction, LayerBlock, Opcode, total_count
+from repro.arch.energy import EnergyModel
+from repro.arch.timing import LatencyModel
 from repro.bnn.networks import build_network
-from repro.bnn.workload import extract_workload
+from repro.bnn.workload import LayerSpec, NetworkWorkload, extract_workload
 
 
 class TestConfigs:
@@ -84,105 +87,118 @@ class TestConfigs:
             )
 
 
-class TestISA:
-    def test_instruction_counts(self):
-        block = LayerBlock(
-            layer_name="l", is_binary=True,
-            instructions=[
-                Instruction(Opcode.MVM, count=10),
-                Instruction(Opcode.MVM, count=5),
-                Instruction(Opcode.ALU_ADD, count=3),
-            ],
-        )
-        assert block.count(Opcode.MVM) == 15
-        assert block.count(Opcode.ALU_ADD) == 3
-        assert block.count(Opcode.LOAD) == 0
-
-    def test_total_count_across_blocks(self):
-        blocks = [
-            LayerBlock("a", True, [Instruction(Opcode.MVM, count=2)]),
-            LayerBlock("b", True, [Instruction(Opcode.MVM, count=3)]),
-        ]
-        assert total_count(blocks, Opcode.MVM) == 5
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            Instruction(Opcode.MVM, count=-1)
-
-    def test_operand_defaults(self):
-        instruction = Instruction(Opcode.LOAD, operands={"bytes": 128})
-        assert instruction.operand("bytes") == 128
-        assert instruction.operand("missing", 7) == 7
-
-
 class TestCompiler:
+    """What the schedule and the cost breakdowns say about each design."""
+
     @pytest.fixture(scope="class")
     def workload(self):
         return extract_workload(build_network("CNN-S"))
 
     def test_one_block_per_mac_layer(self, workload):
-        program = compile_network(workload, einsteinbarrier_config())
-        assert len(program.blocks) == len(workload.layers)
+        config = einsteinbarrier_config()
+        names = [spec.name for spec in workload.layers]
+        assert list(LatencyModel(config).estimate(workload).per_layer) == names
+        assert list(EnergyModel(config).estimate(workload).per_layer) == names
 
     def test_binary_blocks_have_schedules(self, workload):
-        program = compile_network(workload, einsteinbarrier_config())
-        for block in program.binary_blocks:
-            assert block.layer_name in program.schedules
+        schedule = compile_network(workload, einsteinbarrier_config())
+        assert [s.layer_name for s in schedule.layer_schedules] \
+            == [spec.name for spec in workload.binary_layers]
+        assert schedule.mapping_name == "tacitmap"
+        assert schedule.wdm_capacity == 16
 
     def test_full_precision_layers_become_macs(self, workload):
-        program = compile_network(workload, baseline_epcm_config())
-        assert program.count(Opcode.ALU_MAC) == workload.full_precision_macs
+        config = baseline_epcm_config()
+        schedule = compile_network(workload, config)
+        assert sum(spec.macs for spec in schedule.full_precision_layers) \
+            == workload.full_precision_macs
+        latency = LatencyModel(config).estimate(workload, schedule)
+        energy = EnergyModel(config).estimate(workload, schedule)
+        assert latency.full_precision_compute == pytest.approx(
+            workload.full_precision_macs / config.digital.macs_per_second
+        )
+        assert energy.full_precision == pytest.approx(
+            workload.full_precision_macs * config.digital.energy_per_mac
+        )
 
     def test_baseline_emits_row_reads_not_vmm(self, workload):
-        program = compile_network(workload, baseline_epcm_config())
-        assert program.count(Opcode.ROW_READ) > 0
-        assert program.count(Opcode.MVM) == 0
-        assert program.count(Opcode.MMM) == 0
+        config = baseline_epcm_config()
+        schedule = compile_network(workload, config)
+        for layer in schedule.layer_schedules:
+            assert layer.crossbar_activations > 0
+            assert layer.pcsa_senses > 0
+            assert layer.adc_conversions == 0
+        energy = EnergyModel(config).estimate(workload, schedule)
+        assert energy.sense_amplifier > 0
+        assert energy.adc == 0.0
 
     def test_tacitmap_epcm_emits_mvm(self, workload):
-        program = compile_network(workload, tacitmap_epcm_config())
-        assert program.count(Opcode.MVM) > 0
-        assert program.count(Opcode.MMM) == 0
-        assert program.count(Opcode.ROW_READ) == 0
+        config = tacitmap_epcm_config()
+        schedule = compile_network(workload, config)
+        for spec, layer in zip(workload.binary_layers, schedule.layer_schedules):
+            assert layer.adc_conversions > 0
+            assert layer.pcsa_senses == 0
+            assert crossbar_step(spec, config)[2] == 1
+            assert layer.sequential_steps == spec.num_input_vectors
+        energy = EnergyModel(config).estimate(workload, schedule)
+        assert energy.sense_amplifier == 0.0
+        assert energy.optical_overhead == 0.0
 
     def test_einsteinbarrier_emits_mmm_for_conv_layers(self, workload):
-        program = compile_network(workload, einsteinbarrier_config())
-        assert program.count(Opcode.MMM) > 0
+        config = einsteinbarrier_config()
+        schedule = compile_network(workload, config)
+        conv = [(spec, layer) for spec, layer
+                in zip(workload.binary_layers, schedule.layer_schedules)
+                if spec.kind == "conv"]
+        assert conv
+        for spec, layer in conv:
+            assert crossbar_step(spec, config)[2] > 1
+            assert layer.sequential_steps \
+                == math.ceil(spec.num_input_vectors / config.wdm_capacity)
+        assert EnergyModel(config).estimate(workload, schedule).optical_overhead > 0
 
     def test_einsteinbarrier_mlp_layers_stay_mvm(self):
         """MLP layers have a single activation vector, so there is nothing to
-        group into an MMM even with WDM available."""
+        group over wavelengths even with WDM available."""
         workload = extract_workload(build_network("MLP-S"))
-        program = compile_network(workload, einsteinbarrier_config())
-        assert program.count(Opcode.MMM) == 0
-        assert program.count(Opcode.MVM) > 0
+        config = einsteinbarrier_config()
+        schedule = compile_network(workload, config)
+        for spec, layer in zip(workload.binary_layers, schedule.layer_schedules):
+            assert crossbar_step(spec, config)[2] == 1
+            assert layer.sequential_steps == 1
 
     def test_wdm_reduces_crossbar_instruction_count(self, workload):
         plain = compile_network(workload, tacitmap_epcm_config())
         wdm = compile_network(workload, einsteinbarrier_config())
-        assert (
-            wdm.count(Opcode.MMM) + wdm.count(Opcode.MVM)
-            < plain.count(Opcode.MVM)
-        )
+        assert wdm.total_crossbar_activations < plain.total_crossbar_activations
+        assert wdm.total_sequential_steps < plain.total_sequential_steps
 
     def test_every_block_moves_data(self, workload):
-        program = compile_network(workload, einsteinbarrier_config())
-        for block in program.blocks:
-            assert block.count(Opcode.LOAD) >= 1
-            assert block.count(Opcode.STORE) >= 1
+        config = einsteinbarrier_config()
+        moved = 0
+        for spec in workload.layers:
+            load, store = transfer_bytes(spec, config)
+            assert load > 0 and store > 0
+            moved += load + store
+        energy = EnergyModel(config).estimate(workload)
+        assert energy.data_movement == pytest.approx(
+            moved * config.interconnect.energy_per_byte
+        )
 
     def test_baseline_emits_popcount_adds(self, workload):
-        program = compile_network(workload, baseline_epcm_config())
-        assert program.count(Opcode.ALU_ADD) > 0
+        config = baseline_epcm_config()
+        schedule = compile_network(workload, config)
+        assert schedule.total_digital_adds > 0
+        assert all(layer.popcount_tree_depth > 0
+                   for layer in schedule.layer_schedules)
+        assert EnergyModel(config).estimate(workload, schedule).digital > 0
 
 
 class TestFullPrecisionCompilation:
-    """Direct coverage of the digital (non-binary) layer lowering."""
+    """Direct coverage of the digital (non-binary) layer costs."""
 
     def _full_precision_spec(self, *, kind="linear", vector_length=784,
                              num_weight_vectors=128, num_input_vectors=1):
-        from repro.bnn.workload import LayerSpec
-
         return LayerSpec(
             name="layer00:Linear", kind=kind, is_binary=False,
             vector_length=vector_length,
@@ -190,67 +206,78 @@ class TestFullPrecisionCompilation:
             num_input_vectors=num_input_vectors,
         )
 
-    def test_block_structure_load_mac_store(self):
-        from repro.arch.compiler import _compile_full_precision_layer
+    @staticmethod
+    def _workload(spec):
+        return NetworkWorkload(name="one-layer", dataset="mnist",
+                               input_shape=(1, 28, 28), layers=(spec,))
 
+    def test_block_structure_load_mac_store(self):
         spec = self._full_precision_spec()
         config = baseline_epcm_config()
-        block = _compile_full_precision_layer(spec, config)
-        assert not block.is_binary
-        assert [i.opcode for i in block.instructions] \
-            == [Opcode.LOAD, Opcode.ALU_MAC, Opcode.STORE]
+        load, store = transfer_bytes(spec, config)
+        model = LatencyModel(config)
+        latency = model.estimate(self._workload(spec))
+        assert latency.per_layer[spec.name] == (
+            model.transfer_latency(load)
+            + spec.macs / config.digital.macs_per_second
+            + model.transfer_latency(store)
+        )
+        assert latency.binary_compute == 0.0
+        assert latency.weight_programming == 0.0
+        energy = EnergyModel(config).estimate(self._workload(spec))
+        byte_energy = config.interconnect.energy_per_byte
+        assert energy.per_layer[spec.name] == (
+            load * byte_energy + spec.macs * config.digital.energy_per_mac
+            + store * byte_energy
+        )
 
     def test_mac_count_matches_spec(self):
-        from repro.arch.compiler import _compile_full_precision_layer
-
         spec = self._full_precision_spec(vector_length=100,
                                          num_weight_vectors=10,
                                          num_input_vectors=7)
-        block = _compile_full_precision_layer(spec, baseline_epcm_config())
-        assert block.count(Opcode.ALU_MAC) == 100 * 10 * 7 == spec.macs
+        config = baseline_epcm_config()
+        assert spec.macs == 100 * 10 * 7
+        workload = self._workload(spec)
+        assert LatencyModel(config).estimate(workload).full_precision_compute \
+            == spec.macs / config.digital.macs_per_second
+        assert EnergyModel(config).estimate(workload).full_precision \
+            == spec.macs * config.digital.energy_per_mac
 
     def test_byte_operands_respect_full_precision_width(self):
-        from repro.arch.compiler import _compile_full_precision_layer
-
         spec = self._full_precision_spec(vector_length=16,
                                          num_weight_vectors=4,
                                          num_input_vectors=3)
         config = baseline_epcm_config().with_overrides(full_precision_bits=8)
-        block = _compile_full_precision_layer(spec, config)
-        load, _, store = block.instructions
-        assert load.operands["bytes"] == 16 * 3       # one byte per element
-        assert store.operands["bytes"] == 4 * 3
+        # one byte per element
+        assert transfer_bytes(spec, config) == (16 * 3, 4 * 3)
         wide = baseline_epcm_config().with_overrides(full_precision_bits=16)
-        wide_block = _compile_full_precision_layer(spec, wide)
-        assert wide_block.instructions[0].operands["bytes"] == 2 * 16 * 3
+        assert transfer_bytes(spec, wide) == (2 * 16 * 3, 2 * 4 * 3)
 
     def test_odd_bit_widths_round_bytes_up(self):
-        from repro.arch.compiler import _compile_full_precision_layer
-
         spec = self._full_precision_spec(vector_length=3,
                                          num_weight_vectors=3,
                                          num_input_vectors=1)
         config = baseline_epcm_config().with_overrides(full_precision_bits=5)
-        block = _compile_full_precision_layer(spec, config)
         # ceil(3 elements * 5 bits / 8) = 2 bytes
-        assert block.instructions[0].operands["bytes"] == 2
+        assert transfer_bytes(spec, config) == (2, 2)
 
     def test_full_precision_blocks_identical_across_designs(self):
         spec = self._full_precision_spec()
-        workload_name = spec.name
-        for config in all_design_configs():
-            from repro.arch.compiler import _compile_full_precision_layer
-
-            block = _compile_full_precision_layer(spec, config)
-            assert block.layer_name == workload_name
-            assert block.count(Opcode.ALU_MAC) == spec.macs
+        workload = self._workload(spec)
+        costs = {
+            (LatencyModel(config).estimate(workload).per_layer[spec.name],
+             EnergyModel(config).estimate(workload).per_layer[spec.name])
+            for config in all_design_configs()
+        }
+        assert len(costs) == 1
 
     def test_compile_network_routes_non_binary_layers_here(self):
         workload = extract_workload(build_network("MLP-S"))
-        program = compile_network(workload, baseline_epcm_config())
-        full_precision = program.full_precision_blocks
+        schedule = compile_network(workload, baseline_epcm_config())
+        full_precision = schedule.full_precision_layers
         # first and last layers of every evaluation network stay digital
         assert len(full_precision) == 2
-        for block in full_precision:
-            assert block.count(Opcode.ALU_MAC) > 0
-            assert block.layer_name not in program.schedules
+        scheduled = {layer.layer_name for layer in schedule.layer_schedules}
+        for spec in full_precision:
+            assert spec.macs > 0
+            assert spec.name not in scheduled

@@ -39,16 +39,6 @@ def test_distinct_parameters_are_distinct_entries(spec):
     assert schedule_cache_stats()["size"] == 3
 
 
-def test_unmemoised_build_matches_cached_result(spec):
-    clear_schedule_cache()
-    cached = build_layer_schedule(spec, mapping="custbinarymap")
-    fresh = build_layer_schedule(spec, mapping="custbinarymap", memoize=False)
-    assert fresh is not cached
-    assert fresh == cached
-    # memoize=False neither reads nor grows the cache
-    assert schedule_cache_stats() == {"hits": 0, "misses": 1, "size": 1}
-
-
 def test_validation_errors_bypass_cache(spec):
     clear_schedule_cache()
     with pytest.raises(ValueError):
